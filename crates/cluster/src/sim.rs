@@ -604,6 +604,9 @@ pub struct ClusterSim {
     /// write. Absent = applied since forever.
     fresh_at: HashMap<(usize, u64), SimTime>,
     noise_rng: SimRng,
+    /// `noise_seq[stream][node]`: the calendar sequence number reserved
+    /// for burst 0 of that schedule; burst `i` uses this plus `i`.
+    noise_seq: Vec<Vec<u64>>,
     net_rng: SimRng,
     /// Shared fault clock (disabled on planless runs).
     fault_clock: FaultClock,
@@ -713,6 +716,7 @@ impl ClusterSim {
             btree,
             fresh_at: HashMap::new(),
             noise_rng,
+            noise_seq: Vec::new(),
             net_rng,
             fault_clock,
             fault_handles,
@@ -820,26 +824,30 @@ impl ClusterSim {
                 }
             }
         }
-        // Noise schedules.
-        let starts: Vec<(usize, usize, usize, SimTime)> = self
-            .cfg
-            .noise
-            .iter()
-            .enumerate()
-            .flat_map(|(stream, ns)| {
-                ns.schedules
-                    .iter()
-                    .enumerate()
-                    .flat_map(move |(node, bursts)| {
-                        bursts
-                            .iter()
-                            .enumerate()
-                            .map(move |(idx, b)| (stream, node, idx, b.start))
-                    })
-            })
-            .collect();
-        for (stream, node, idx, start) in starts {
-            self.q.schedule(start, Ev::NoiseBurst { stream, node, idx });
+        // Noise schedules: each burst schedules its successor when it
+        // starts (`noise_burst`), so the calendar holds one pending burst
+        // per schedule. Every burst's tie-break number is reserved here, in
+        // (stream, node, burst) order, so bursts pop exactly as if the whole
+        // horizon had been scheduled up front.
+        for (stream, ns) in self.cfg.noise.iter().enumerate() {
+            let mut seqs = Vec::with_capacity(ns.schedules.len());
+            for (node, bursts) in ns.schedules.iter().enumerate() {
+                assert!(
+                    bursts.windows(2).all(|w| w[0].start <= w[1].start),
+                    "noise stream {stream}: node {node}'s bursts are not time-ordered"
+                );
+                let seq = self.q.reserve(bursts.len() as u64);
+                if let Some(first) = bursts.first() {
+                    let burst = Ev::NoiseBurst {
+                        stream,
+                        node,
+                        idx: 0,
+                    };
+                    self.q.schedule_reserved(first.start, seq, burst);
+                }
+                seqs.push(seq);
+            }
+            self.noise_seq.push(seqs);
         }
         // Background streams.
         for (stream, (node, ios)) in self.cfg.background.iter().enumerate() {
@@ -2189,6 +2197,15 @@ impl ClusterSim {
         let Some(burst) = self.burst_of(stream, node, idx) else {
             return;
         };
+        if let Some(next) = self.burst_of(stream, node, idx + 1) {
+            let seq = self.noise_seq[stream][node] + idx as u64 + 1;
+            let burst = Ev::NoiseBurst {
+                stream,
+                node,
+                idx: idx + 1,
+            };
+            self.q.schedule_reserved(next.start, seq, burst);
+        }
         let kind = self.cfg.noise[stream].kind.clone();
         match kind {
             NoiseKind::CacheSwap => {
@@ -2812,6 +2829,119 @@ mod tests {
             lat.percentile(95.0) < Duration::from_millis(3),
             "failover keeps the walk at memory speed: {}",
             lat.percentile(95.0)
+        );
+    }
+
+    /// An mmap B-tree run with two swap-out noise streams on every node
+    /// over `horizon`: 5% every 100 ms and 20% every 300 ms. Every third
+    /// burst of the first stream starts at the same instant as one of the
+    /// second's, and the order the two apply in changes what is evicted.
+    fn swap_storms(horizon: Duration) -> ExperimentConfig {
+        let mut cfg = ExperimentConfig::micro(
+            NodeConfig::cached_disk(),
+            Strategy::MittOs {
+                deadline: Duration::from_micros(100),
+            },
+        );
+        cfg.ops_per_client = 400;
+        cfg.think_time = Duration::from_millis(5);
+        cfg.record_count = 20_000;
+        cfg.mmap_btree = Some(crate::mmapdb::BtreeConfig {
+            fanout: 64,
+            ..crate::mmapdb::BtreeConfig::default()
+        });
+        cfg.preload_cache = true;
+        cfg.trace = true;
+        let storm = |period: Duration, intensity: u32| {
+            let bursts: Vec<NoiseBurst> = (1..horizon.as_nanos() / period.as_nanos())
+                .map(|i| NoiseBurst {
+                    start: SimTime::ZERO + period * i,
+                    duration: Duration::from_millis(20),
+                    intensity,
+                })
+                .collect();
+            NoiseStream {
+                kind: NoiseKind::CacheSwap,
+                schedules: vec![bursts; cfg.nodes],
+            }
+        };
+        cfg.noise = vec![
+            storm(Duration::from_millis(100), 5),
+            storm(Duration::from_millis(300), 20),
+        ];
+        cfg
+    }
+
+    /// `cache.evicted` of `swap_storms(3600 s)` when every burst entered
+    /// the calendar at setup.
+    const EAGER_EVICTED: u64 = 73_103;
+
+    #[test]
+    fn noise_bursts_enter_the_calendar_one_at_a_time() {
+        let cfg = swap_storms(Duration::from_secs(3600));
+        let bursts: usize = cfg
+            .noise
+            .iter()
+            .flat_map(|ns| &ns.schedules)
+            .map(Vec::len)
+            .sum();
+        let live = cfg.clients
+            + cfg.nodes * cfg.noise.len()
+            + cfg.background.len()
+            + 2 * cfg.faults.events.len();
+        let short = ClusterSim::new(swap_storms(Duration::from_secs(60)));
+        let sim = ClusterSim::new(cfg.clone());
+        assert!(
+            bursts > 100 * live,
+            "horizon too short to tell: {bursts} bursts"
+        );
+        assert!(
+            sim.q.raw_len() <= live,
+            "{} events pending after setup, at most {live} live",
+            sim.q.raw_len()
+        );
+        assert_eq!(
+            sim.q.raw_len(),
+            short.q.raw_len(),
+            "calendar depth grew with the noise horizon"
+        );
+
+        let res = sim.run();
+        assert_eq!(res.trace.dropped(), 0, "trace ring must hold every mark");
+        // The cache never fills, so every eviction mark is a swap-out burst.
+        let mut applied: Vec<(u32, SimTime)> = res
+            .trace
+            .events()
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::Mark {
+                        name: "cache_evict",
+                        ..
+                    }
+                )
+            })
+            .map(|e| (e.node, e.at))
+            .collect();
+        applied.sort_unstable();
+        let mut started: Vec<(u32, SimTime)> = cfg
+            .noise
+            .iter()
+            .flat_map(|ns| ns.schedules.iter().enumerate())
+            .flat_map(|(node, bursts)| {
+                let node = u32::try_from(node).expect("node id fits u32");
+                bursts.iter().map(move |b| (node, b.start))
+            })
+            .filter(|&(_, start)| start < res.finished_at)
+            .collect();
+        started.sort_unstable();
+        assert!(started.len() > 20, "only {} bursts started", started.len());
+        assert_eq!(applied, started, "every started burst, at its start");
+        // Scheduling every burst up front at setup evicted exactly this.
+        assert_eq!(
+            res.trace.metrics().counter_total("cache.evicted"),
+            EAGER_EVICTED
         );
     }
 

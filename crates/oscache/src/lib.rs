@@ -8,8 +8,11 @@
 //! out under memory contention — the paper's caveat that EBUSY should signal
 //! contention (re-evicted pages), not cold first accesses.
 //!
-//! The model is page-granular with exact LRU, implemented as a stamp map so
-//! eviction order is deterministic.
+//! The model is page-granular with exact LRU. Residency lives in a
+//! two-level radix page table (512-entry leaves, allocated on first load),
+//! and resident pages are threaded on an intrusive doubly linked LRU list,
+//! so a hit, an insert, an eviction and an `fadvise` are all O(1) list
+//! operations and eviction order is deterministic.
 //!
 //! # Examples
 //!
@@ -25,9 +28,12 @@
 //! assert!(cache.addrcheck(0, 8192).contended);
 //! ```
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use mitt_sim::{Duration, SimRng};
+
+#[cfg(test)]
+mod reference;
 
 /// Result of checking one page's residency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,18 +83,52 @@ impl Default for PageCacheConfig {
     }
 }
 
+/// log2 of the number of pages one page-table leaf covers.
+const LEAF_BITS: u32 = 9;
+/// Pages one page-table leaf covers.
+const LEAF_PAGES: usize = 1 << LEAF_BITS;
+
+/// Page-table entry of a page that was never loaded.
+const NEVER_LOADED: u32 = 0;
+/// Page-table entry of a page that was resident and got evicted.
+const SWAPPED_OUT: u32 = 1;
+/// Entries from here up are resident: `RESIDENT + slot`, where `slot`
+/// indexes the page's place in the LRU list.
+const RESIDENT: u32 = 2;
+/// End-of-list link.
+const NIL: u32 = u32::MAX;
+
+/// A resident page's node in the LRU list. Free slots are chained through
+/// `next` instead.
+#[derive(Clone, Copy)]
+struct Slot {
+    page: u64,
+    prev: u32,
+    next: u32,
+}
+
 /// An exact-LRU page cache with swap-out tracking.
 pub struct PageCache {
     cfg: PageCacheConfig,
-    /// page -> LRU stamp.
-    pages: HashMap<u64, u64>,
-    /// LRU stamp -> page (oldest first).
-    order: BTreeMap<u64, u64>,
-    /// Pages that have ever been resident.
-    ever_resident: HashSet<u64>,
-    stamp: u64,
+    /// Radix page table: leaf number (`page >> LEAF_BITS`) -> the entries
+    /// of that leaf's pages.
+    table: BTreeMap<u64, Box<[u32; LEAF_PAGES]>>,
+    /// LRU list nodes of resident pages, plus free slots for reuse.
+    slots: Vec<Slot>,
+    /// Least recently used slot (evicted first), or `NIL`.
+    lru: u32,
+    /// Most recently used slot, or `NIL`.
+    mru: u32,
+    /// First free slot, or `NIL`.
+    free: u32,
+    resident: usize,
     hits: u64,
     misses: u64,
+}
+
+/// Index of `page` inside its page-table leaf.
+fn leaf_index(page: u64) -> usize {
+    (page % LEAF_PAGES as u64) as usize
 }
 
 impl PageCache {
@@ -96,10 +136,12 @@ impl PageCache {
     pub fn new(cfg: PageCacheConfig) -> Self {
         PageCache {
             cfg,
-            pages: HashMap::new(),
-            order: BTreeMap::new(),
-            ever_resident: HashSet::new(),
-            stamp: 0,
+            table: BTreeMap::new(),
+            slots: Vec::new(),
+            lru: NIL,
+            mru: NIL,
+            free: NIL,
+            resident: 0,
             hits: 0,
             misses: 0,
         }
@@ -118,31 +160,97 @@ impl PageCache {
         first..=last
     }
 
+    /// The page-table entry of one page.
+    fn entry(&self, page: u64) -> u32 {
+        self.table
+            .get(&(page >> LEAF_BITS))
+            .map_or(NEVER_LOADED, |leaf| leaf[leaf_index(page)])
+    }
+
+    /// The page-table entry of one page, allocating its leaf if needed.
+    fn entry_mut(&mut self, page: u64) -> &mut u32 {
+        let leaf = self
+            .table
+            .entry(page >> LEAF_BITS)
+            .or_insert_with(|| Box::new([NEVER_LOADED; LEAF_PAGES]));
+        &mut leaf[leaf_index(page)]
+    }
+
     /// Residency state of one page.
     pub fn page_state(&self, page: u64) -> PageState {
-        if self.pages.contains_key(&page) {
-            PageState::Resident
-        } else if self.ever_resident.contains(&page) {
-            PageState::SwappedOut
-        } else {
-            PageState::NeverLoaded
+        match self.entry(page) {
+            NEVER_LOADED => PageState::NeverLoaded,
+            SWAPPED_OUT => PageState::SwappedOut,
+            _ => PageState::Resident,
         }
     }
 
-    fn bump(&mut self, page: u64) {
-        if let Some(old) = self.pages.get(&page).copied() {
-            self.order.remove(&old);
+    fn unlink(&mut self, slot: u32) {
+        let Slot { prev, next, .. } = self.slots[slot as usize];
+        match prev {
+            NIL => self.lru = next,
+            p => self.slots[p as usize].next = next,
         }
-        self.stamp += 1;
-        self.pages.insert(page, self.stamp);
-        self.order.insert(self.stamp, page);
+        match next {
+            NIL => self.mru = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
     }
 
-    fn evict_lru(&mut self) -> Option<u64> {
-        let (&stamp, &page) = self.order.iter().next()?;
-        self.order.remove(&stamp);
-        self.pages.remove(&page);
-        Some(page)
+    fn push_mru(&mut self, slot: u32) {
+        let mru = self.mru;
+        let s = &mut self.slots[slot as usize];
+        s.prev = mru;
+        s.next = NIL;
+        match mru {
+            NIL => self.lru = slot,
+            m => self.slots[m as usize].next = slot,
+        }
+        self.mru = slot;
+    }
+
+    /// Marks a resident page's slot as the most recently used.
+    fn bump(&mut self, slot: u32) {
+        self.unlink(slot);
+        self.push_mru(slot);
+    }
+
+    /// Makes a non-resident page resident as the most recently used.
+    fn load(&mut self, page: u64) {
+        let slot = match self.free {
+            NIL => {
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s < NIL - RESIDENT)
+                    .expect("page cache outgrew its u32 slot index");
+                self.slots.push(Slot {
+                    page,
+                    prev: NIL,
+                    next: NIL,
+                });
+                slot
+            }
+            slot => {
+                self.free = self.slots[slot as usize].next;
+                self.slots[slot as usize].page = page;
+                slot
+            }
+        };
+        self.push_mru(slot);
+        *self.entry_mut(page) = RESIDENT + slot;
+        self.resident += 1;
+    }
+
+    /// Evicts the page in a resident slot, which becomes swapped out, and
+    /// frees the slot. Returns the page.
+    fn evict(&mut self, slot: u32) -> u64 {
+        self.unlink(slot);
+        let page = self.slots[slot as usize].page;
+        self.slots[slot as usize].next = self.free;
+        self.free = slot;
+        self.resident -= 1;
+        *self.entry_mut(page) = SWAPPED_OUT;
+        page
     }
 
     /// Walks the page table for a byte range without side effects other
@@ -167,18 +275,15 @@ impl PageCache {
         }
     }
 
-    /// Performs a cached read access: bumps LRU stamps for resident pages
-    /// and reports what is missing. Counts one hit if fully resident, one
-    /// miss otherwise.
+    /// Performs a cached read access: moves resident pages to the LRU
+    /// list's most-recent end and reports what is missing. Counts one hit
+    /// if fully resident, one miss otherwise.
     pub fn access(&mut self, offset: u64, len: u32) -> RangeCheck {
         let check = self.addrcheck(offset, len);
         if check.resident {
             self.hits += 1;
-            // (Named `spanned`, not `pages`: the `pages` field is a HashMap
-            // and shadowing its name trips the D003 iteration lint.)
-            let spanned: Vec<u64> = self.pages_of(offset, len).collect();
-            for page in spanned {
-                self.bump(page);
+            for page in self.pages_of(offset, len) {
+                self.bump(self.entry(page) - RESIDENT);
             }
         } else {
             self.misses += 1;
@@ -190,14 +295,13 @@ impl PageCache {
     /// evicting LRU pages as needed. Returns evicted page numbers.
     pub fn insert_range(&mut self, offset: u64, len: u32) -> Vec<u64> {
         let mut evicted = Vec::new();
-        let spanned: Vec<u64> = self.pages_of(offset, len).collect();
-        for page in spanned {
-            self.ever_resident.insert(page);
-            self.bump(page);
-            while self.pages.len() > self.cfg.capacity_pages {
-                if let Some(e) = self.evict_lru() {
-                    evicted.push(e);
-                }
+        for page in self.pages_of(offset, len) {
+            match self.entry(page) {
+                e if e >= RESIDENT => self.bump(e - RESIDENT),
+                _ => self.load(page),
+            }
+            while self.resident > self.cfg.capacity_pages {
+                evicted.push(self.evict(self.lru));
             }
         }
         evicted
@@ -207,8 +311,9 @@ impl PageCache {
     /// mechanism the paper uses to construct the MittCache microbenchmark.
     pub fn fadvise_dontneed(&mut self, offset: u64, len: u32) {
         for page in self.pages_of(offset, len) {
-            if let Some(stamp) = self.pages.remove(&page) {
-                self.order.remove(&stamp);
+            let e = self.entry(page);
+            if e >= RESIDENT {
+                self.evict(e - RESIDENT);
             }
         }
     }
@@ -216,21 +321,27 @@ impl PageCache {
     /// Swaps out a uniformly random `fraction` of resident pages,
     /// emulating another tenant's memory ballooning (§6, Figure 3c).
     pub fn swap_out_fraction(&mut self, fraction: f64, rng: &mut SimRng) -> usize {
-        let n = ((self.pages.len() as f64) * fraction.clamp(0.0, 1.0)) as usize;
-        let mut all: Vec<u64> = self.pages.keys().copied().collect();
-        all.sort_unstable(); // HashMap order is nondeterministic; fix it.
-        rng.shuffle(&mut all);
-        for &page in all.iter().take(n) {
-            if let Some(stamp) = self.pages.remove(&page) {
-                self.order.remove(&stamp);
-            }
+        let n = ((self.resident as f64) * fraction.clamp(0.0, 1.0)) as usize;
+        // Leaves in key order list the resident pages by page number, so
+        // the shuffle starts from the same sorted order on every run.
+        let mut slots: Vec<u32> = Vec::with_capacity(self.resident);
+        for leaf in self.table.values() {
+            slots.extend(
+                leaf.iter()
+                    .filter(|&&e| e >= RESIDENT)
+                    .map(|e| e - RESIDENT),
+            );
+        }
+        rng.shuffle(&mut slots);
+        for &slot in &slots[..n] {
+            self.evict(slot);
         }
         n
     }
 
     /// Number of resident pages.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.resident
     }
 
     /// Fraction of accesses served fully from cache.

@@ -28,7 +28,7 @@ pub mod time;
 
 pub use digest::Fnv1a;
 pub use dist::Distribution;
-pub use queue::{EventId, EventQueue};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::{reduction_pct, LatencyRecorder, OnlineStats, P2Quantile, TimeHistogram};
 pub use time::{Duration, SimTime};

@@ -4,15 +4,14 @@
 //! are broken by insertion order (a monotonically increasing sequence
 //! number), which makes every simulation fully deterministic: two runs with
 //! the same seed schedule and pop events in exactly the same order.
+//! Sequence numbers can also be reserved ahead of time, so a long chain of
+//! events can enter the calendar one at a time yet tie-break as if it had
+//! been scheduled all at once.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::{Duration, SimTime};
-
-/// Token identifying a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
 
 struct Entry<E> {
     at: SimTime,
@@ -67,7 +66,6 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     now: SimTime,
     seq: u64,
-    cancelled: std::collections::HashSet<u64>,
     popped: u64,
 }
 
@@ -84,7 +82,6 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
-            cancelled: std::collections::HashSet::new(),
             popped: 0,
         }
     }
@@ -94,74 +91,62 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Schedules `event` at absolute time `at` and returns a cancellation
-    /// token.
+    /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if `at` is earlier than the current time.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, event: E) {
+        let seq = self.reserve(1);
+        self.schedule_reserved(at, seq, event);
+    }
+
+    /// Schedules `event` after `delay` from the current time.
+    pub fn schedule_in(&mut self, delay: Duration, event: E) {
+        let at = self.now + delay;
+        self.schedule(at, event);
+    }
+
+    /// Reserves `n` consecutive sequence numbers and returns the first.
+    ///
+    /// An event later scheduled under one of them with
+    /// [`EventQueue::schedule_reserved`] breaks time ties as if it had been
+    /// scheduled at the moment of the reservation.
+    pub fn reserve(&mut self, n: u64) -> u64 {
+        let first = self.seq;
+        self.seq += n;
+        first
+    }
+
+    /// Schedules `event` at absolute time `at` under a sequence number
+    /// obtained from [`EventQueue::reserve`]. Each reserved number must be
+    /// used at most once.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `at` is earlier than the current time or
+    /// `seq` was never reserved.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
         debug_assert!(
             at >= self.now,
             "scheduled event in the past: at={at} now={}",
             self.now
         );
+        debug_assert!(seq < self.seq, "sequence number {seq} was never reserved");
         let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
         self.heap.push(Entry { at, seq, event });
-        EventId(seq)
     }
 
-    /// Schedules `event` after `delay` from the current time.
-    pub fn schedule_in(&mut self, delay: Duration, event: E) -> EventId {
-        let at = self.now + delay;
-        self.schedule(at, event)
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// Cancellation is lazy: the entry stays in the heap and is skipped when
-    /// reached. Cancelling an already-fired or unknown id is a no-op.
-    pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id.0);
-    }
-
-    /// Removes and returns the earliest live event, advancing the clock to
-    /// its timestamp. Returns `None` when the calendar is exhausted.
+    /// Removes and returns the earliest event, advancing the clock to its
+    /// timestamp. Returns `None` when the calendar is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            self.now = entry.at;
-            self.popped += 1;
-            return Some((entry.at, entry.event));
-        }
-        None
+        let entry = self.heap.pop()?;
+        self.now = entry.at;
+        self.popped += 1;
+        Some((entry.at, entry.event))
     }
 
-    /// The timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(entry.at);
-        }
-        None
-    }
-
-    /// True if no live events remain.
-    pub fn is_empty(&mut self) -> bool {
-        self.peek_time().is_none()
-    }
-
-    /// Number of entries currently in the heap, including lazily cancelled
-    /// ones. Useful only as a rough size signal.
+    /// Number of events currently scheduled.
     pub fn raw_len(&self) -> usize {
         self.heap.len()
     }
@@ -208,34 +193,14 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_skips_events() {
+    fn reserved_events_tie_break_from_their_reservation() {
         let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_nanos(1), "a");
-        q.schedule(SimTime::from_nanos(2), "b");
-        q.cancel(a);
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_nanos(1), "a");
-        assert_eq!(q.pop().unwrap().1, "a");
-        q.cancel(a);
-        q.schedule(SimTime::from_nanos(2), "b");
-        assert_eq!(q.pop().unwrap().1, "b");
-    }
-
-    #[test]
-    fn peek_skips_cancelled_and_reports_next_time() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_nanos(1), "a");
-        q.schedule(SimTime::from_nanos(9), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(9)));
-        assert!(!q.is_empty());
-        q.pop();
-        assert!(q.is_empty());
+        let t = SimTime::from_nanos(5);
+        let early = q.reserve(2);
+        q.schedule(t, "scheduled");
+        q.schedule_reserved(t, early + 1, "reserved second");
+        q.schedule_reserved(t, early, "reserved first");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["reserved first", "reserved second", "scheduled"]);
     }
 }

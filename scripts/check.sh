@@ -2,10 +2,11 @@
 # Canonical local gate for this repo (recorded in ROADMAP.md). Runs the
 # same checks CI would: formatting, a release build (the workspace lints
 # are deny-level, so this doubles as the warning gate), the mitt-lint
-# determinism/invariant scan, the test suite (which itself re-runs the
-# lint via tests/lint.rs and the double-run digest check via
-# tests/determinism.rs), the mitt-trace unit tests, and a traced-run
-# smoke test that exports a Chrome trace and validates it as JSON.
+# determinism/invariant scan, the root test suite (which itself re-runs
+# the lint via tests/lint.rs and the double-run digest check via
+# tests/determinism.rs), every crate's tests, the mitt-trace unit tests,
+# and a traced-run smoke test that exports a Chrome trace and validates
+# it as JSON.
 #
 # Usage: scripts/check.sh   (from anywhere inside the repo)
 set -eu
@@ -50,6 +51,11 @@ echo "   workspace clean; SARIF artifact at results/lint.sarif"
 
 echo "== cargo test -q"
 cargo test -q
+
+echo "== cargo test --workspace -q"
+# The root run above covers only the root package; this gates every
+# crate's unit, differential and doc tests too.
+cargo test --workspace -q
 
 echo "== cargo test -q -p mitt-trace"
 cargo test -q -p mitt-trace
