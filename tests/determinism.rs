@@ -12,8 +12,8 @@
 //! disk.
 
 use mittos_repro::cluster::{
-    run_experiment, ExperimentConfig, ExperimentResult, InitialReplica, Medium, NodeConfig,
-    NoiseKind, NoiseStream, Strategy, Topology,
+    run_experiment, BtreeConfig, ExperimentConfig, ExperimentResult, InitialReplica, Medium,
+    NodeConfig, NoiseKind, NoiseStream, Strategy, Topology,
 };
 use mittos_repro::device::IoClass;
 use mittos_repro::faults::{FaultPlan, FaultPlanGen, PlanGenConfig, ResilienceConfig};
@@ -22,7 +22,7 @@ use mittos_repro::obs::attribution::AttributionSummary;
 use mittos_repro::sim::digest::{double_run, Fnv1a};
 use mittos_repro::sim::{Duration, SimTime};
 use mittos_repro::tsl::TslConfig;
-use mittos_repro::workload::rotating_schedule;
+use mittos_repro::workload::{rotating_schedule, NoiseBurst};
 
 /// A contended three-replica cluster, small enough for a debug-build test.
 /// Tracing is on so the digest also covers the event ring and metrics.
@@ -491,4 +491,137 @@ fn different_seed_different_digest() {
         digest_of(22),
         "digest is insensitive to the seed; it cannot be covering the run"
     );
+}
+
+/// A via-cache mmap B-tree cluster (MittCache path) with swap-out bursts
+/// on node 0, so addrcheck'd walks hit swapped pages and EBUSY.
+fn btree_config(seed: u64) -> ExperimentConfig {
+    let mut cfg = ExperimentConfig::micro(
+        NodeConfig::cached_disk(),
+        Strategy::MittOs {
+            deadline: Duration::from_micros(100),
+        },
+    );
+    cfg.seed = seed;
+    cfg.ops_per_client = 120;
+    cfg.record_count = 20_000;
+    cfg.mmap_btree = Some(BtreeConfig {
+        fanout: 64,
+        ..BtreeConfig::default()
+    });
+    cfg.preload_cache = true;
+    cfg.trace = true;
+    let mut schedules = vec![Vec::new(); cfg.nodes];
+    schedules[0] = (0..400)
+        .map(|i| NoiseBurst {
+            start: SimTime::ZERO + Duration::from_millis(100) * i,
+            duration: Duration::from_millis(1),
+            intensity: 20,
+        })
+        .collect();
+    cfg.noise = vec![NoiseStream {
+        kind: NoiseKind::CacheSwap,
+        schedules,
+    }];
+    cfg
+}
+
+/// Digests pinned across commits, not just across two runs of one build:
+/// a refactor that drops, duplicates or reorders a single trace emit,
+/// counter bump or timeline record changes one of these. Every config runs
+/// with trace and tsl on, and together they cover each component that
+/// observes a decision: CFQ disk (Base and MittCFQ), noop disk (MittNoop),
+/// SSD (MittSSD), the LSM engine, the mmap B-tree (MittCache) and the
+/// faulted run (predictor bias, breakers, backoff). The MittCFQ run also
+/// profiles, pinning that profiling stays digest-neutral.
+///
+/// A deliberate behaviour change updates these constants in the same
+/// commit and says why; an observability refactor must never touch them.
+#[test]
+fn golden_digests_are_pinned_across_commits() {
+    let mittos = |ms: u64| Strategy::MittOs {
+        deadline: Duration::from_millis(ms),
+    };
+    let noop = || {
+        let mut cfg = config(41, mittos(15));
+        cfg.node_cfg = NodeConfig::disk_noop();
+        cfg
+    };
+    let ssd = || {
+        let mut cfg = ssd_config(41);
+        cfg.strategy = Strategy::MittOs {
+            deadline: Duration::from_micros(300),
+        };
+        cfg
+    };
+    // Small high-priority noise IOs are served ahead of queued deadline
+    // IOs, so MittCFQ bump-cancels some of them after admission.
+    let cfq_bumped_profiled = || {
+        let mut cfg = config(41, mittos(30));
+        cfg.clients = 8;
+        cfg.think_time = Duration::from_millis(3);
+        cfg.noise = vec![NoiseStream {
+            kind: NoiseKind::DiskReads {
+                len: 4096,
+                class: IoClass::BestEffort,
+                priority: 0,
+            },
+            schedules: rotating_schedule(
+                3,
+                Duration::from_millis(300),
+                Duration::from_secs(600),
+                8,
+            ),
+        }];
+        cfg.prof = true;
+        cfg
+    };
+    // (name, config, a counter the run must bump, pinned digest). The
+    // counter proves the run took the decision path it is meant to pin.
+    let cases: [(&str, ExperimentConfig, &str, u64); 7] = [
+        (
+            "cfq_base",
+            config(41, Strategy::Base),
+            "mittcfq.admit",
+            0xbc93ac3ad1a6ff5c,
+        ),
+        (
+            "cfq_bumped_prof",
+            cfq_bumped_profiled(),
+            "mittcfq.bumped",
+            0x1a7fe76064afb6e7,
+        ),
+        ("noop", noop(), "mittnoop.reject", 0xbe5c2b8920a25bae),
+        ("ssd", ssd(), "mittssd.reject", 0xab989659fe49f0c2),
+        ("lsm", lsm_config(41), "mittcfq.reject", 0x627cbbe069d14fc3),
+        (
+            "btree_cache",
+            btree_config(41),
+            "mittcache.reject",
+            0x841dd7bdf319df1f,
+        ),
+        (
+            "faulted",
+            faulted_config(41),
+            "attr.fault_window",
+            0x8f303af0fa7481b6,
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (name, mut cfg, fired, want) in cases {
+        cfg.trace = true;
+        cfg.tsl = Some(TslConfig::default());
+        let res = run_experiment(cfg);
+        assert!(
+            res.trace.metrics().counter_total(fired) > 0,
+            "{name}: {fired} never fired"
+        );
+        let mut h = Fnv1a::new();
+        fold_result(&mut h, &res);
+        let got = h.finish();
+        if got != want {
+            mismatches.push(format!("{name}: got {got:#018x}, pinned {want:#018x}"));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
