@@ -26,12 +26,11 @@ use mitt_device::{
 };
 use mitt_faults::FaultClock;
 use mitt_oscache::{PageCache, PageCacheConfig};
-use mitt_prof::ProfSink;
 use mitt_sched::{Cfq, CfqConfig, DiskScheduler, Noop};
 use mitt_sim::{Duration, SimRng, SimTime};
-use mitt_trace::report::{CACHE_HIT_COUNTER, EBUSY_COUNTER, PREDICT_ERROR_HIST, SUBMIT_COUNTER};
-use mitt_trace::{EventKind, Resource, Subsystem, TraceSink};
-use mitt_tsl::TslSink;
+use mitt_trace::report::{CACHE_HIT_COUNTER, PREDICT_ERROR_HIST, SUBMIT_COUNTER};
+use mitt_trace::{EventKind, Resource, Subsystem};
+use mitt_tsl::Obs;
 use mittos::{
     decide, profile_disk, profile_ssd, CacheVerdict, Decision, DiskProfile, ErrorInjector,
     MittCache, MittCfq, MittNoop, MittSsd, Slo, ADDRCHECK_COST,
@@ -410,9 +409,7 @@ pub struct Node {
     fill_after_read: HashSet<IoId>,
     hop: Duration,
     ebusy_times: Vec<SimTime>,
-    trace: TraceSink,
-    prof: ProfSink,
-    tsl: TslSink,
+    obs: Obs,
     /// Predicted wait of each admitted, traced IO, resolved against the
     /// actual wait at completion to feed the prediction-error histogram.
     pred_wait: HashMap<IoId, Duration>,
@@ -482,85 +479,39 @@ impl Node {
             fill_after_read: HashSet::new(),
             hop: cfg.hop,
             ebusy_times: Vec::new(),
-            trace: TraceSink::disabled(),
-            prof: ProfSink::disabled(),
-            tsl: TslSink::disabled(),
+            obs: Obs::default(),
             pred_wait: HashMap::new(),
         }
     }
 
-    /// Attaches a trace sink, tagging every event with this node's id and
-    /// propagating node-scoped handles to the predictors, the scheduler
-    /// and the disk so the whole stack records into one ring.
-    pub fn set_trace(&mut self, sink: &TraceSink) {
-        let sink = sink.for_node(self.id as u32);
+    /// Attaches an observation handle, tagging it with this node's id and
+    /// fanning node-scoped handles into the predictors, the scheduler and
+    /// both devices, so the whole stack records into one trace ring, one
+    /// profiler and one set of timelines. Observation never consumes RNG
+    /// draws or reorders events (digest-neutrality).
+    pub fn set_obs(&mut self, obs: &Obs) {
+        let obs = obs.for_node(self.id as u32);
         if let Some(ds) = &mut self.disk {
             match &mut ds.mitt {
-                DiskMitt::Noop(m) => m.set_trace(sink.clone()),
-                DiskMitt::Cfq(m) => m.set_trace(sink.clone()),
+                DiskMitt::Noop(m) => m.set_obs(obs.clone()),
+                DiskMitt::Cfq(m) => m.set_obs(obs.clone()),
             }
-            ds.sched.set_trace(sink.clone());
-            ds.disk.set_trace(sink.clone());
+            ds.sched.set_obs(obs.clone());
+            ds.disk.set_obs(obs.clone());
         }
         if let Some(ss) = &mut self.ssd {
-            ss.mitt.set_trace(sink.clone());
+            ss.ssd.set_obs(obs.clone());
+            ss.mitt.set_obs(obs.clone());
         }
         if let Some(cs) = &mut self.cache {
-            cs.mitt.set_trace(sink.clone());
+            cs.mitt.set_obs(obs.clone());
         }
-        self.trace = sink;
-    }
-
-    /// Attaches an engine profiling sink, fanning shared handles into the
-    /// predictors, the scheduler and both device models (mirroring
-    /// [`Node::set_trace`]). Profiling is pure observation: it must not
-    /// consume RNG draws or reorder events (digest-neutrality).
-    pub fn set_prof(&mut self, sink: &ProfSink) {
-        if let Some(ds) = &mut self.disk {
-            match &mut ds.mitt {
-                DiskMitt::Noop(m) => m.set_prof(sink.clone()),
-                DiskMitt::Cfq(m) => m.set_prof(sink.clone()),
-            }
-            ds.sched.set_prof(sink.clone());
-            ds.disk.set_prof(sink.clone());
-        }
-        if let Some(ss) = &mut self.ssd {
-            ss.ssd.set_prof(sink.clone());
-            ss.mitt.set_prof(sink.clone());
-        }
-        if let Some(cs) = &mut self.cache {
-            cs.mitt.set_prof(sink.clone());
-        }
-        self.prof = sink.clone();
-    }
-
-    /// Attaches a windowed-timeline sink, tagging it with this node's id
-    /// and fanning node-scoped handles into the predictors, the scheduler
-    /// and both devices (mirroring [`Node::set_trace`]). Timeline rollups
-    /// are pure observation: no events, no RNG (digest-neutrality).
-    pub fn set_tsl(&mut self, sink: &TslSink) {
-        let sink = sink.for_node(self.id as u32);
-        if let Some(ds) = &mut self.disk {
-            match &mut ds.mitt {
-                DiskMitt::Noop(m) => m.set_tsl(sink.clone()),
-                DiskMitt::Cfq(m) => m.set_tsl(sink.clone()),
-            }
-            ds.sched.set_tsl(sink.clone());
-            ds.disk.set_tsl(sink.clone());
-        }
-        if let Some(ss) = &mut self.ssd {
-            ss.ssd.set_tsl(sink.clone());
-            ss.mitt.set_tsl(sink.clone());
-        }
-        if let Some(cs) = &mut self.cache {
-            cs.mitt.set_tsl(sink.clone());
-        }
-        self.tsl = sink;
+        self.obs = obs;
     }
 
     /// Attaches a fault clock, tagging it with this node's id and fanning
     /// node-scoped handles into the devices, the scheduler and the
-    /// predictors (mirroring [`Node::set_trace`]).
+    /// predictors (mirroring [`Node::set_obs`]).
     pub fn set_faults(&mut self, clock: &FaultClock) {
         let clock = clock.for_node(self.id as u32);
         if let Some(ds) = &mut self.disk {
@@ -598,8 +549,8 @@ impl Node {
 
     /// Submits a read through the MittOS stack.
     pub fn submit_read(&mut self, req: &ReadReq, now: SimTime) -> Submission {
-        self.prof.io_submitted();
-        self.trace.count(SUBMIT_COUNTER, 1);
+        self.obs.prof.io_submitted();
+        self.obs.trace.count(SUBMIT_COUNTER, 1);
         // mmap/addrcheck path: consult the page cache first.
         if req.via_cache {
             if let Some(cs) = &mut self.cache {
@@ -608,8 +559,8 @@ impl Node {
                     CacheVerdict::Hit => {
                         cs.cache.access(req.offset, req.len);
                         let latency = cs.cache.config().hit_latency + ADDRCHECK_COST;
-                        self.trace.count(CACHE_HIT_COUNTER, 1);
-                        self.trace.emit(
+                        self.obs.trace.count(CACHE_HIT_COUNTER, 1);
+                        self.obs.trace.emit(
                             now,
                             Subsystem::Node,
                             EventKind::CacheHit {
@@ -625,23 +576,15 @@ impl Node {
                     CacheVerdict::Busy { refill } => {
                         let resource = cs.mitt.attribution(now);
                         self.ebusy_times.push(now);
-                        self.trace.count(EBUSY_COUNTER, 1);
-                        self.trace.emit(
+                        // MittCache emits no Predict event, so neither the
+                        // Reject nor its attribution carries a wait.
+                        self.obs.reject(
                             now,
-                            Subsystem::Node,
-                            EventKind::Reject {
-                                io: req.offset,
-                                predicted_wait: Duration::MAX,
-                            },
-                        );
-                        // MittCache emits no Predict event, so the
-                        // attribution carries no predicted wait either.
-                        self.emit_attribution(
                             req.offset,
                             resource,
                             Duration::MAX,
+                            Duration::MAX,
                             refill.len() as u64,
-                            now,
                         );
                         // Keep swapping the data in at Idle priority so the
                         // tenant's cache share is not starved (§4.4).
@@ -682,7 +625,7 @@ impl Node {
         if let Some(d) = req.deadline {
             io = io.with_deadline(d);
         }
-        self.trace.emit(
+        self.obs.trace.emit(
             now,
             Subsystem::Node,
             EventKind::Submit {
@@ -698,65 +641,6 @@ impl Node {
             Medium::Disk => self.submit_disk(req, IoKind::Read, now),
             Medium::Ssd => self.submit_ssd(req, IoKind::Read, now),
         }
-    }
-
-    /// Records a predictor decision: the `predict` event plus the
-    /// subsystem's admit/reject counter. The *raw* verdict is recorded,
-    /// so audit mode and error injection do not distort predictor stats.
-    fn emit_predict(
-        &mut self,
-        sub: Subsystem,
-        io: &BlockIo,
-        wait: Duration,
-        admit: bool,
-        now: SimTime,
-    ) {
-        if !self.trace.is_enabled() {
-            return;
-        }
-        self.trace.emit(
-            now,
-            sub,
-            EventKind::Predict {
-                io: io.id.0,
-                predicted_wait: wait,
-                deadline: io.deadline,
-                admitted: admit,
-            },
-        );
-        let counter = if admit {
-            sub.admit_counter()
-        } else {
-            sub.reject_counter()
-        };
-        self.trace.count(counter, 1);
-    }
-
-    /// Emits the SLO-attribution companion of a Reject: one `Attribution`
-    /// event directly after the Reject in the ring (consumers pair them by
-    /// order) plus the per-resource counter. No-op when untraced.
-    fn emit_attribution(
-        &mut self,
-        io: u64,
-        resource: Resource,
-        predicted_wait: Duration,
-        detail: u64,
-        now: SimTime,
-    ) {
-        if !self.trace.is_enabled() {
-            return;
-        }
-        self.trace.emit(
-            now,
-            Subsystem::Node,
-            EventKind::Attribution {
-                io,
-                resource,
-                predicted_wait,
-                detail,
-            },
-        );
-        self.trace.count(resource.counter(), 1);
     }
 
     /// Applies the audit/injection policy to a raw decision; returns the
@@ -795,24 +679,22 @@ impl Node {
             DiskMitt::Noop(_) => Subsystem::MittNoop,
             DiskMitt::Cfq(_) => Subsystem::MittCfq,
         };
-        self.emit_predict(sub, &io, wait, raw.is_admit(), now);
+        self.obs
+            .predict(now, sub, io.id.0, wait, io.deadline, raw.is_admit());
         let decision = self.policy(&io, raw);
         let ds = self.disk.as_mut().expect("node has no disk stack");
         match decision {
             Decision::Reject { predicted_wait } => {
                 let (resource, depth) = ds.mitt.attribution(now);
-                self.tsl.record_reject(now, resource);
                 self.ebusy_times.push(now);
-                self.trace.count(EBUSY_COUNTER, 1);
-                self.trace.emit(
+                self.obs.reject(
                     now,
-                    Subsystem::Node,
-                    EventKind::Reject {
-                        io: io.id.0,
-                        predicted_wait,
-                    },
+                    io.id.0,
+                    resource,
+                    predicted_wait,
+                    predicted_wait,
+                    depth,
                 );
-                self.emit_attribution(io.id.0, resource, predicted_wait, depth, now);
                 Submission {
                     outcome: ReadOutcome::Busy {
                         predicted_wait,
@@ -823,8 +705,8 @@ impl Node {
                 }
             }
             Decision::Admit { .. } => {
-                self.tsl.record_admit(now);
-                if self.trace.is_enabled() {
+                self.obs.admit(now);
+                if self.obs.trace.is_enabled() {
                     self.pred_wait.insert(io.id, wait);
                 }
                 let mut bumped = ds.mitt.account(&io, now);
@@ -845,33 +727,12 @@ impl Node {
                     let (resource, depth) = ds.mitt.attribution(now);
                     for id in &bumped {
                         ds.sched.cancel(*id);
-                        self.tsl.record_reject(now, resource);
                         self.ebusy_times.push(now);
-                        self.trace.count(EBUSY_COUNTER, 1);
-                        self.trace.emit(
-                            now,
-                            Subsystem::Node,
-                            EventKind::Reject {
-                                io: id.0,
-                                predicted_wait: Duration::MAX,
-                            },
-                        );
                         // The bumped IO's own Predict event carried its
                         // admission-time wait; attribute with that value.
                         let pw = self.pred_wait.remove(id).unwrap_or(Duration::MAX);
-                        if self.trace.is_enabled() {
-                            self.trace.emit(
-                                now,
-                                Subsystem::Node,
-                                EventKind::Attribution {
-                                    io: id.0,
-                                    resource,
-                                    predicted_wait: pw,
-                                    detail: depth,
-                                },
-                            );
-                            self.trace.count(resource.counter(), 1);
-                        }
+                        self.obs
+                            .reject(now, id.0, resource, Duration::MAX, pw, depth);
                     }
                 }
                 let io_id = io.id;
@@ -899,24 +760,28 @@ impl Node {
         let wait = ss.mitt.distorted_wait(&io, now);
         let slo = io.deadline.map(Slo::deadline);
         let raw = decide(wait, slo, self.hop);
-        self.emit_predict(Subsystem::MittSsd, &io, wait, raw.is_admit(), now);
+        self.obs.predict(
+            now,
+            Subsystem::MittSsd,
+            io.id.0,
+            wait,
+            io.deadline,
+            raw.is_admit(),
+        );
         let decision = self.policy(&io, raw);
         let ss = self.ssd.as_mut().expect("node has no SSD stack");
         match decision {
             Decision::Reject { predicted_wait } => {
                 let (resource, inflight) = ss.mitt.attribution(now);
-                self.tsl.record_reject(now, resource);
                 self.ebusy_times.push(now);
-                self.trace.count(EBUSY_COUNTER, 1);
-                self.trace.emit(
+                self.obs.reject(
                     now,
-                    Subsystem::Node,
-                    EventKind::Reject {
-                        io: io.id.0,
-                        predicted_wait,
-                    },
+                    io.id.0,
+                    resource,
+                    predicted_wait,
+                    predicted_wait,
+                    inflight,
                 );
-                self.emit_attribution(io.id.0, resource, predicted_wait, inflight, now);
                 Submission {
                     outcome: ReadOutcome::Busy {
                         predicted_wait,
@@ -927,8 +792,8 @@ impl Node {
                 }
             }
             Decision::Admit { .. } => {
-                self.tsl.record_admit(now);
-                if self.trace.is_enabled() {
+                self.obs.admit(now);
+                if self.obs.trace.is_enabled() {
                     self.pred_wait.insert(io.id, wait);
                 }
                 ss.mitt.account(&io, now);
@@ -962,7 +827,7 @@ impl Node {
     /// (§7.8.6); otherwise writes flow through the storage stack like
     /// reads.
     pub fn submit_write(&mut self, req: &ReadReq, now: SimTime) -> WriteOutcome {
-        self.prof.io_submitted();
+        self.obs.prof.io_submitted();
         if req.medium == Medium::Disk {
             if let Some(ds) = &mut self.disk {
                 if let Some(nvram) = &mut ds.nvram {
@@ -1031,8 +896,8 @@ impl Node {
             if let Some(cs) = &mut self.cache {
                 let evicted = cs.cache.insert_range(fin.io.offset, fin.io.len);
                 if !evicted.is_empty() {
-                    self.trace.count("cache.evicted", evicted.len() as u64);
-                    self.trace.emit(
+                    self.obs.trace.count("cache.evicted", evicted.len() as u64);
+                    self.obs.trace.emit(
                         now,
                         Subsystem::Node,
                         EventKind::Mark {
@@ -1099,10 +964,10 @@ impl Node {
     /// Emits the node-level completion event and resolves the IO's
     /// prediction-error sample (|predicted - actual| wait).
     fn resolve_prediction(&mut self, id: IoId, actual_wait: Duration, now: SimTime) {
-        if !self.trace.is_enabled() {
+        if !self.obs.trace.is_enabled() {
             return;
         }
-        self.trace.emit(
+        self.obs.trace.emit(
             now,
             Subsystem::Node,
             EventKind::Complete {
@@ -1112,7 +977,7 @@ impl Node {
         );
         if let Some(predicted) = self.pred_wait.remove(&id) {
             let err = predicted.as_nanos().abs_diff(actual_wait.as_nanos());
-            self.trace.observe_ns(PREDICT_ERROR_HIST, err);
+            self.obs.trace.observe_ns(PREDICT_ERROR_HIST, err);
         }
     }
 
@@ -1139,8 +1004,8 @@ impl Node {
             let mut rng = cs.swap_rng.fork();
             let evicted = cs.cache.swap_out_fraction(f64::from(pct) / 100.0, &mut rng);
             if evicted > 0 {
-                self.trace.count("cache.evicted", evicted as u64);
-                self.trace.emit(
+                self.obs.trace.count("cache.evicted", evicted as u64);
+                self.obs.trace.emit(
                     now,
                     Subsystem::Node,
                     EventKind::Mark {

@@ -15,10 +15,10 @@
 
 use mitt_faults::FaultClock;
 use mitt_oscache::{PageCache, RangeCheck};
-use mitt_prof::{Phase, ProfSink};
+use mitt_prof::Phase;
 use mitt_sim::{Duration, SimTime};
-use mitt_trace::{Resource, Subsystem, TraceSink};
-use mitt_tsl::TslSink;
+use mitt_trace::{Resource, Subsystem};
+use mitt_tsl::Obs;
 
 use crate::slo::Slo;
 
@@ -53,10 +53,8 @@ pub struct MittCache {
     /// Smallest possible latency of the storage layer below the cache; a
     /// deadline below this means "I expect a cache hit".
     min_io_latency: Duration,
-    trace: TraceSink,
+    obs: Obs,
     faults: FaultClock,
-    prof: ProfSink,
-    tsl: TslSink,
 }
 
 impl MittCache {
@@ -65,24 +63,18 @@ impl MittCache {
     pub fn new(min_io_latency: Duration) -> Self {
         MittCache {
             min_io_latency,
-            trace: TraceSink::disabled(),
+            obs: Obs::default(),
             faults: FaultClock::disabled(),
-            prof: ProfSink::disabled(),
-            tsl: TslSink::disabled(),
         }
     }
 
-    /// Attaches a trace sink; every check bumps an admit/reject counter
-    /// (the cache-hit *events* are emitted by the node).
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-
-    /// Attaches an engine profiling sink; admission checks are timed as
-    /// the `Predict` phase. Profiling never alters decisions
-    /// (digest-neutrality).
-    pub fn set_prof(&mut self, sink: ProfSink) {
-        self.prof = sink;
+    /// Attaches an observation handle: every check bumps an admit or
+    /// reject counter, admissions (hit or miss) land in their timeline
+    /// window, and checks are timed as the `Predict` phase. The node
+    /// records the EBUSY itself, and the cache-hit *events*. Observation
+    /// never alters verdicts (digest-neutrality).
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
     }
 
     /// Attaches a fault clock; `PredictorBias` windows distort the storage
@@ -90,14 +82,6 @@ impl MittCache {
     /// spurious EBUSYs (over-rejection) while active.
     pub fn set_faults(&mut self, clock: FaultClock) {
         self.faults = clock;
-    }
-
-    /// Attaches a windowed-timeline sink; each check is bucketed into its
-    /// sim-time window as an admit (hit/miss) or reject (EBUSY) — see
-    /// `mitt-tsl`. Rollups happen inline — no events, no RNG — so
-    /// attaching one never alters verdicts.
-    pub fn set_tsl(&mut self, sink: TslSink) {
-        self.tsl = sink;
     }
 
     /// The storage floor used for the residency-expectation test.
@@ -126,34 +110,38 @@ impl MittCache {
         slo: Option<Slo>,
         now: SimTime,
     ) -> CacheVerdict {
-        let _t = self.prof.phase(Phase::Predict);
+        let _t = self.obs.prof.phase(Phase::Predict);
         let rc: RangeCheck = cache.addrcheck(offset, len);
         if rc.resident {
-            self.trace.count(Subsystem::MittCache.admit_counter(), 1);
-            self.tsl.record_admit(now);
+            self.admit(now);
             return CacheVerdict::Hit;
         }
         // A miscalibration fault inflates the perceived storage floor, so
         // deadlines that actually leave room for device IO look hopeless.
         let floor = self.faults.distort_wait(now, self.min_io_latency);
-        if let Some(slo) = slo {
-            // The user expects memory speed but the data is not resident.
-            // Only *contention* (swapped-out pages) earns an EBUSY; cold
-            // first-time accesses fall through to the device.
-            if slo.deadline < floor && rc.contended {
-                self.trace.count(Subsystem::MittCache.reject_counter(), 1);
-                self.tsl.record_reject(now, self.attribution(now));
-                return CacheVerdict::Busy {
-                    refill: rc.missing_pages,
-                };
-            }
+        // The user expects memory speed but the data is not resident. Only
+        // *contention* (swapped-out pages) earns an EBUSY; cold first-time
+        // accesses fall through to the device.
+        if slo.is_some_and(|slo| slo.deadline < floor && rc.contended) {
+            self.obs
+                .trace
+                .count(Subsystem::MittCache.reject_counter(), 1);
+            return CacheVerdict::Busy {
+                refill: rc.missing_pages,
+            };
         }
-        self.trace.count(Subsystem::MittCache.admit_counter(), 1);
-        self.tsl.record_admit(now);
+        self.admit(now);
         CacheVerdict::Miss {
             missing_pages: rc.missing_pages,
             contended: rc.contended,
         }
+    }
+
+    fn admit(&self, now: SimTime) {
+        self.obs
+            .trace
+            .count(Subsystem::MittCache.admit_counter(), 1);
+        self.obs.admit(now);
     }
 }
 

@@ -24,10 +24,10 @@ use std::collections::{HashMap, HashSet};
 
 use mitt_device::{BlockIo, IoClass, IoId, ProcessId};
 use mitt_faults::FaultClock;
-use mitt_prof::{Phase, ProfSink};
+use mitt_prof::Phase;
 use mitt_sim::{Duration, SimTime};
-use mitt_trace::{EventKind, Resource, Subsystem, TraceSink};
-use mitt_tsl::TslSink;
+use mitt_trace::{Resource, Subsystem};
+use mitt_tsl::Obs;
 
 use crate::profile::DiskProfile;
 use crate::slo::{decide, Decision, Slo};
@@ -86,10 +86,8 @@ pub struct MittCfq {
     admitted: u64,
     rejected: u64,
     bumped_total: u64,
-    trace: TraceSink,
+    obs: Obs,
     faults: FaultClock,
-    prof: ProfSink,
-    tsl: TslSink,
 }
 
 impl MittCfq {
@@ -107,38 +105,23 @@ impl MittCfq {
             admitted: 0,
             rejected: 0,
             bumped_total: 0,
-            trace: TraceSink::disabled(),
+            obs: Obs::default(),
             faults: FaultClock::disabled(),
-            prof: ProfSink::disabled(),
-            tsl: TslSink::disabled(),
         }
     }
 
-    /// Attaches a trace sink; every admission decision emits a `predict`
-    /// event and bump-cancels are counted.
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-
-    /// Attaches an engine profiling sink; admission checks are timed as
-    /// the `Predict` phase. Profiling never alters decisions
-    /// (digest-neutrality).
-    pub fn set_prof(&mut self, sink: ProfSink) {
-        self.prof = sink;
+    /// Attaches an observation handle: every admission decision emits a
+    /// `predict` event and lands in its timeline window, bump-cancels are
+    /// counted, and admission checks are timed as the `Predict` phase.
+    /// Observation never alters decisions (digest-neutrality).
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
     }
 
     /// Attaches a fault clock; `PredictorBias` windows distort the wait
     /// estimate fed into admission decisions (ledgers stay accurate).
     pub fn set_faults(&mut self, clock: FaultClock) {
         self.faults = clock;
-    }
-
-    /// Attaches a windowed-timeline sink; each admit/reject decision is
-    /// bucketed into its sim-time window (see `mitt-tsl`). Rollups happen
-    /// inline — no events, no RNG — so attaching one never alters
-    /// decisions.
-    pub fn set_tsl(&mut self, sink: TslSink) {
-        self.tsl = sink;
     }
 
     fn bucket_of(ns: i64) -> i64 {
@@ -204,32 +187,28 @@ impl MittCfq {
 
     /// The admission check with bump detection.
     pub fn admit(&mut self, io: &BlockIo, now: SimTime) -> CfqAdmission {
-        let _t = self.prof.phase(Phase::Predict);
+        let _t = self.obs.prof.phase(Phase::Predict);
         let wait = self.distorted_wait(io.class, io.priority, io.owner, now);
         let slo = io.deadline.map(Slo::deadline);
         let decision = decide(wait, slo, self.hop);
-        self.trace.emit(
+        let admitted = decision.is_admit();
+        self.obs.predict(
             now,
             Subsystem::MittCfq,
-            EventKind::Predict {
-                io: io.id.0,
-                predicted_wait: wait,
-                deadline: io.deadline,
-                admitted: decision.is_admit(),
-            },
+            io.id.0,
+            wait,
+            io.deadline,
+            admitted,
         );
-        if let Decision::Reject { .. } = decision {
+        if !admitted {
             self.rejected += 1;
-            self.trace.count(Subsystem::MittCfq.reject_counter(), 1);
-            let (resource, _) = self.attribution(now);
-            self.tsl.record_reject(now, resource);
+            self.obs.tsl.record_reject(now, self.attribution(now).0);
             return CfqAdmission {
                 decision,
                 bumped: Vec::new(),
             };
         }
-        self.trace.count(Subsystem::MittCfq.admit_counter(), 1);
-        self.tsl.record_admit(now);
+        self.obs.admit(now);
         let bumped = self.account(io, now);
         CfqAdmission { decision, bumped }
     }
@@ -240,7 +219,7 @@ impl MittCfq {
     /// Used directly by hosts that make the admit/reject decision
     /// themselves (audit mode, error injection).
     pub fn account(&mut self, io: &BlockIo, now: SimTime) -> Vec<IoId> {
-        let _t = self.prof.phase(Phase::Predict);
+        let _t = self.obs.prof.phase(Phase::Predict);
         let wait = self.predicted_wait(io.class, io.priority, io.owner, now);
         self.admitted += 1;
         let service = self.profile.service(self.last_tail, io.offset, io.len);
@@ -311,7 +290,7 @@ impl MittCfq {
                 // Deadline hopeless: cancel with late EBUSY.
                 self.remove_queued(id);
                 self.bumped_total += 1;
-                self.trace.count("mittcfq.bumped", 1);
+                self.obs.trace.count("mittcfq.bumped", 1);
                 bumped.push(id);
             } else {
                 if let Some(rec) = self.queued.get_mut(&id) {

@@ -19,10 +19,10 @@ use std::collections::HashMap;
 
 use mitt_device::{BlockIo, IoId};
 use mitt_faults::FaultClock;
-use mitt_prof::{Phase, ProfSink};
+use mitt_prof::Phase;
 use mitt_sim::{Duration, SimTime};
-use mitt_trace::{EventKind, Resource, Subsystem, TraceSink};
-use mitt_tsl::TslSink;
+use mitt_trace::{Resource, Subsystem};
+use mitt_tsl::Obs;
 
 use crate::profile::DiskProfile;
 use crate::slo::{decide, Decision, Slo};
@@ -40,10 +40,8 @@ pub struct MittNoop {
     pending: HashMap<IoId, i64>,
     rejected: u64,
     admitted: u64,
-    trace: TraceSink,
+    obs: Obs,
     faults: FaultClock,
-    prof: ProfSink,
-    tsl: TslSink,
 }
 
 impl MittNoop {
@@ -57,24 +55,17 @@ impl MittNoop {
             pending: HashMap::new(),
             rejected: 0,
             admitted: 0,
-            trace: TraceSink::disabled(),
+            obs: Obs::default(),
             faults: FaultClock::disabled(),
-            prof: ProfSink::disabled(),
-            tsl: TslSink::disabled(),
         }
     }
 
-    /// Attaches a trace sink; every admission decision emits a `predict`
-    /// event.
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-
-    /// Attaches an engine profiling sink; admission checks are timed as
-    /// the `Predict` phase. Profiling never alters decisions
-    /// (digest-neutrality).
-    pub fn set_prof(&mut self, sink: ProfSink) {
-        self.prof = sink;
+    /// Attaches an observation handle: every admission decision emits a
+    /// `predict` event and lands in its timeline window, and admission
+    /// checks are timed as the `Predict` phase. Observation never alters
+    /// decisions (digest-neutrality).
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
     }
 
     /// Attaches a fault clock; `PredictorBias` windows distort the wait
@@ -82,14 +73,6 @@ impl MittNoop {
     /// accurate, so calibration is unaffected).
     pub fn set_faults(&mut self, clock: FaultClock) {
         self.faults = clock;
-    }
-
-    /// Attaches a windowed-timeline sink; each admit/reject decision is
-    /// bucketed into its sim-time window (see `mitt-tsl`). Rollups happen
-    /// inline — no events, no RNG — so attaching one never alters
-    /// decisions.
-    pub fn set_tsl(&mut self, sink: TslSink) {
-        self.tsl = sink;
     }
 
     /// SLO-attribution context for a rejection decided at `now`: the
@@ -122,39 +105,32 @@ impl MittNoop {
     /// active `PredictorBias` fault distorts the estimate. Callers doing
     /// their own admission (the cluster node) must use this variant.
     pub fn distorted_wait(&self, now: SimTime) -> Duration {
-        let _t = self.prof.phase(Phase::Predict);
+        let _t = self.obs.prof.phase(Phase::Predict);
         self.faults.distort_wait(now, self.predicted_wait(now))
     }
 
     /// The admission check: rejects (without any state change) when the
     /// deadline cannot be met; otherwise accounts the IO and admits.
     pub fn admit(&mut self, io: &BlockIo, now: SimTime) -> Decision {
-        let _t = self.prof.phase(Phase::Predict);
+        let _t = self.obs.prof.phase(Phase::Predict);
         let wait = self.distorted_wait(now);
         let slo = io.deadline.map(Slo::deadline);
         let decision = decide(wait, slo, self.hop);
-        self.trace.emit(
+        let admitted = decision.is_admit();
+        self.obs.predict(
             now,
             Subsystem::MittNoop,
-            EventKind::Predict {
-                io: io.id.0,
-                predicted_wait: wait,
-                deadline: io.deadline,
-                admitted: decision.is_admit(),
-            },
+            io.id.0,
+            wait,
+            io.deadline,
+            admitted,
         );
-        match decision {
-            Decision::Reject { .. } => {
-                self.rejected += 1;
-                self.trace.count(Subsystem::MittNoop.reject_counter(), 1);
-                let (resource, _) = self.attribution(now);
-                self.tsl.record_reject(now, resource);
-            }
-            Decision::Admit { .. } => {
-                self.account(io, now);
-                self.trace.count(Subsystem::MittNoop.admit_counter(), 1);
-                self.tsl.record_admit(now);
-            }
+        if admitted {
+            self.account(io, now);
+            self.obs.admit(now);
+        } else {
+            self.rejected += 1;
+            self.obs.tsl.record_reject(now, self.attribution(now).0);
         }
         decision
     }
@@ -163,7 +139,7 @@ impl MittNoop {
     /// Used directly by hosts that make the admit/reject decision
     /// themselves (audit mode, error injection).
     pub fn account(&mut self, io: &BlockIo, now: SimTime) {
-        let _t = self.prof.phase(Phase::Predict);
+        let _t = self.obs.prof.phase(Phase::Predict);
         self.admitted += 1;
         let service = self.predicted_service(io);
         self.pending.insert(io.id, service.as_nanos() as i64);

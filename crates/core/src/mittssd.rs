@@ -18,10 +18,10 @@ use std::collections::HashMap;
 
 use mitt_device::{BlockIo, IoId, IoKind, SsdSpec};
 use mitt_faults::FaultClock;
-use mitt_prof::{Phase, ProfSink};
+use mitt_prof::Phase;
 use mitt_sim::{Duration, SimTime};
-use mitt_trace::{EventKind, Resource, Subsystem, TraceSink};
-use mitt_tsl::TslSink;
+use mitt_trace::{Resource, Subsystem};
+use mitt_tsl::Obs;
 
 use crate::profile::SsdProfile;
 use crate::slo::{decide, Decision, Slo};
@@ -46,10 +46,8 @@ pub struct MittSsd {
     pending: HashMap<(IoId, u32), SubRec>,
     admitted: u64,
     rejected: u64,
-    trace: TraceSink,
+    obs: Obs,
     faults: FaultClock,
-    prof: ProfSink,
-    tsl: TslSink,
 }
 
 impl MittSsd {
@@ -69,24 +67,17 @@ impl MittSsd {
             pending: HashMap::new(),
             admitted: 0,
             rejected: 0,
-            trace: TraceSink::disabled(),
+            obs: Obs::default(),
             faults: FaultClock::disabled(),
-            prof: ProfSink::disabled(),
-            tsl: TslSink::disabled(),
         }
     }
 
-    /// Attaches a trace sink; every admission decision emits a `predict`
-    /// event.
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-
-    /// Attaches an engine profiling sink; admission checks are timed as
-    /// the `Predict` phase. Profiling never alters decisions
-    /// (digest-neutrality).
-    pub fn set_prof(&mut self, sink: ProfSink) {
-        self.prof = sink;
+    /// Attaches an observation handle: every admission decision emits a
+    /// `predict` event and lands in its timeline window, and admission
+    /// checks are timed as the `Predict` phase. Observation never alters
+    /// decisions (digest-neutrality).
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
     }
 
     /// Attaches a fault clock; `PredictorBias` windows distort the wait
@@ -94,14 +85,6 @@ impl MittSsd {
     /// stays accurate).
     pub fn set_faults(&mut self, clock: FaultClock) {
         self.faults = clock;
-    }
-
-    /// Attaches a windowed-timeline sink; each admit/reject decision is
-    /// bucketed into its sim-time window (see `mitt-tsl`). Rollups happen
-    /// inline — no events, no RNG — so attaching one never alters
-    /// decisions.
-    pub fn set_tsl(&mut self, sink: TslSink) {
-        self.tsl = sink;
     }
 
     fn chip_of_page(&self, lpn: u64) -> usize {
@@ -154,36 +137,32 @@ impl MittSsd {
     /// active `PredictorBias` fault distorts the estimate. Callers doing
     /// their own admission (the cluster node) must use this variant.
     pub fn distorted_wait(&self, io: &BlockIo, now: SimTime) -> Duration {
-        let _t = self.prof.phase(Phase::Predict);
+        let _t = self.obs.prof.phase(Phase::Predict);
         self.faults.distort_wait(now, self.predicted_wait(io, now))
     }
 
     /// The admission check. On rejection, *no* sub-page is accounted: the
     /// request never reaches the device.
     pub fn admit(&mut self, io: &BlockIo, now: SimTime) -> Decision {
-        let _t = self.prof.phase(Phase::Predict);
+        let _t = self.obs.prof.phase(Phase::Predict);
         let wait = self.distorted_wait(io, now);
         let slo = io.deadline.map(Slo::deadline);
         let decision = decide(wait, slo, self.hop);
-        self.trace.emit(
+        let admitted = decision.is_admit();
+        self.obs.predict(
             now,
             Subsystem::MittSsd,
-            EventKind::Predict {
-                io: io.id.0,
-                predicted_wait: wait,
-                deadline: io.deadline,
-                admitted: decision.is_admit(),
-            },
+            io.id.0,
+            wait,
+            io.deadline,
+            admitted,
         );
-        if let Decision::Reject { .. } = decision {
+        if !admitted {
             self.rejected += 1;
-            self.trace.count(Subsystem::MittSsd.reject_counter(), 1);
-            let (resource, _) = self.attribution(now);
-            self.tsl.record_reject(now, resource);
+            self.obs.tsl.record_reject(now, self.attribution(now).0);
             return decision;
         }
-        self.trace.count(Subsystem::MittSsd.admit_counter(), 1);
-        self.tsl.record_admit(now);
+        self.obs.admit(now);
         self.account(io, now);
         decision
     }
@@ -193,7 +172,7 @@ impl MittSsd {
     /// make the admit/reject decision themselves (audit mode, error
     /// injection).
     pub fn account(&mut self, io: &BlockIo, now: SimTime) {
-        let _t = self.prof.phase(Phase::Predict);
+        let _t = self.obs.prof.phase(Phase::Predict);
         self.admitted += 1;
         let pages: Vec<u64> = self.pages_of(io).collect();
         for (index, lpn) in pages.into_iter().enumerate() {

@@ -14,10 +14,10 @@
 //! calibration diffs (<3ms) reported in §7.6.
 
 use mitt_faults::FaultClock;
-use mitt_prof::{Phase, ProfSink};
+use mitt_prof::Phase;
 use mitt_sim::{Duration, SimRng, SimTime};
-use mitt_trace::{EventKind, Subsystem, TraceSink};
-use mitt_tsl::TslSink;
+use mitt_trace::{EventKind, Subsystem};
+use mitt_tsl::Obs;
 
 use crate::io::{BlockIo, IoId};
 
@@ -154,10 +154,8 @@ pub struct Disk {
     queue: Vec<BlockIo>,
     in_flight: Option<InFlight>,
     served: u64,
-    trace: TraceSink,
-    tsl: TslSink,
+    obs: Obs,
     faults: FaultClock,
-    prof: ProfSink,
 }
 
 impl Disk {
@@ -170,29 +168,17 @@ impl Disk {
             queue: Vec::new(),
             in_flight: None,
             served: 0,
-            trace: TraceSink::disabled(),
-            tsl: TslSink::disabled(),
+            obs: Obs::default(),
             faults: FaultClock::disabled(),
-            prof: ProfSink::disabled(),
         }
     }
 
-    /// Attaches a trace sink; the device emits dispatch/complete events.
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-
-    /// Attaches an engine profiling sink; submit/complete paths are timed
-    /// as the `Device` phase. Never influences service-time sampling.
-    pub fn set_prof(&mut self, sink: ProfSink) {
-        self.prof = sink;
-    }
-
-    /// Attaches a windowed-timeline sink; each completion's service time is
-    /// bucketed into its sim-time window (see `mitt-tsl`). Inline rollup
-    /// only — never influences service-time sampling.
-    pub fn set_tsl(&mut self, sink: TslSink) {
-        self.tsl = sink;
+    /// Attaches an observation handle: the device emits dispatch/complete
+    /// events, buckets each service time into its timeline window, and
+    /// times submit/complete as the `Device` phase. Observation never
+    /// influences service-time sampling.
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
     }
 
     /// Attaches a fault clock; fail-slow windows scale service times.
@@ -278,9 +264,10 @@ impl Disk {
             done_at,
             service,
         });
-        self.trace
+        self.obs
+            .trace
             .emit(now, Subsystem::Disk, EventKind::Dispatch { io: id.0 });
-        self.trace.emit(
+        self.obs.trace.emit(
             now,
             Subsystem::Disk,
             EventKind::SpanBegin {
@@ -298,7 +285,7 @@ impl Disk {
     /// event at `started.done_at`. Returns `Ok(None)` if the IO was queued
     /// behind others, and `Err(DiskFull)` if the device queue is full.
     pub fn submit(&mut self, io: BlockIo, now: SimTime) -> Result<Option<Started>, DiskFull> {
-        let _t = self.prof.phase(Phase::Device);
+        let _t = self.obs.prof.phase(Phase::Device);
         if !self.has_room() {
             return Err(DiskFull);
         }
@@ -320,7 +307,7 @@ impl Disk {
     ///
     /// Panics if called before the in-flight IO's completion time.
     pub fn complete(&mut self, now: SimTime) -> Result<(FinishedIo, Option<Started>), NoInflight> {
-        let _t = self.prof.phase(Phase::Device);
+        let _t = self.obs.prof.phase(Phase::Device);
         let fl = self.in_flight.take().ok_or(NoInflight)?;
         assert!(
             now >= fl.done_at,
@@ -328,23 +315,8 @@ impl Disk {
             fl.done_at
         );
         self.served += 1;
-        self.tsl.observe_service(now, fl.service);
-        self.trace.emit(
-            now,
-            Subsystem::Disk,
-            EventKind::SpanEnd {
-                name: DISK_IO_SPAN,
-                id: fl.io.id.0,
-            },
-        );
-        self.trace.emit(
-            now,
-            Subsystem::Disk,
-            EventKind::Complete {
-                io: fl.io.id.0,
-                wait: fl.service,
-            },
-        );
+        self.obs
+            .service(now, Subsystem::Disk, DISK_IO_SPAN, fl.io.id.0, fl.service);
         let finished = FinishedIo {
             io: fl.io,
             started_at: fl.started_at,
@@ -383,6 +355,7 @@ impl Disk {
 mod tests {
     use super::*;
     use crate::io::{IoIdGen, ProcessId};
+    use mitt_trace::TraceSink;
 
     fn disk() -> Disk {
         Disk::new(DiskSpec::default(), SimRng::new(1))
@@ -508,7 +481,10 @@ mod tests {
     fn traced_disk_emits_dispatch_complete_and_service_spans() {
         let sink = TraceSink::enabled(16);
         let mut d = disk();
-        d.set_trace(sink.for_node(3));
+        d.set_obs(Obs {
+            trace: sink.for_node(3),
+            ..Obs::default()
+        });
         let mut g = IoIdGen::new();
         let s = d.submit(rd(&mut g, 0), SimTime::ZERO).unwrap().unwrap();
         d.complete(s.done_at).unwrap();

@@ -16,9 +16,9 @@
 //! inaccuracy).
 
 use mitt_faults::FaultClock;
-use mitt_prof::{Phase, ProfSink};
+use mitt_prof::Phase;
 use mitt_sim::{Duration, SimRng, SimTime};
-use mitt_tsl::TslSink;
+use mitt_tsl::Obs;
 
 use crate::io::{BlockIo, IoId, IoKind};
 
@@ -180,8 +180,7 @@ pub struct Ssd {
     channel_outstanding: Vec<u32>,
     served_pages: u64,
     faults: FaultClock,
-    prof: ProfSink,
-    tsl: TslSink,
+    obs: Obs,
 }
 
 impl Ssd {
@@ -202,8 +201,7 @@ impl Ssd {
             channel_outstanding,
             served_pages: 0,
             faults: FaultClock::disabled(),
-            prof: ProfSink::disabled(),
-            tsl: TslSink::disabled(),
+            obs: Obs::default(),
         }
     }
 
@@ -212,17 +210,12 @@ impl Ssd {
         self.faults = clock;
     }
 
-    /// Attaches an engine profiling sink; submit/complete paths are timed
-    /// as the `Device` phase. Never influences busy-time sampling.
-    pub fn set_prof(&mut self, sink: ProfSink) {
-        self.prof = sink;
-    }
-
-    /// Attaches a windowed-timeline sink; each page sub-IO's chip busy
-    /// time is bucketed into the window of its completion (see `mitt-tsl`).
-    /// Inline rollup only — never influences busy-time sampling.
-    pub fn set_tsl(&mut self, sink: TslSink) {
-        self.tsl = sink;
+    /// Attaches an observation handle: submit/complete paths are timed as
+    /// the `Device` phase, and each page sub-IO's chip busy time is
+    /// bucketed into the timeline window of its completion. Observation
+    /// never influences busy-time sampling.
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
     }
 
     /// The device's static parameters.
@@ -296,7 +289,7 @@ impl Ssd {
     /// page_size`), striped round-robin across chips, matching the paper's
     /// ">16KB multi-page read to a chip is automatically chopped" note.
     pub fn submit(&mut self, io: &BlockIo, now: SimTime) -> SsdSubmit {
-        let _t = self.prof.phase(Phase::Device);
+        let _t = self.obs.prof.phase(Phase::Device);
         let mut out = SsdSubmit::default();
         let first_lpn = io.offset / u64::from(self.spec.page_size);
         let last_lpn = (io.end_offset().saturating_sub(1)) / u64::from(self.spec.page_size);
@@ -311,7 +304,7 @@ impl Ssd {
                 self.spec.channel_delay * u64::from(self.channel_outstanding[channel]);
             let done_at = self.chips[chip].next_free + queue_delay;
             self.channel_outstanding[channel] += 1;
-            self.tsl.observe_service(done_at, busy);
+            self.obs.tsl.observe_service(done_at, busy);
             if io.kind == IoKind::Write {
                 self.chips[chip].writes_since_gc += 1;
                 if let Some(gc) = self.maybe_gc(chip) {
@@ -338,7 +331,7 @@ impl Ssd {
     ///
     /// Panics if the channel has no outstanding IO (double completion).
     pub fn complete_sub(&mut self, channel: usize, _now: SimTime) {
-        let _t = self.prof.phase(Phase::Device);
+        let _t = self.obs.prof.phase(Phase::Device);
         assert!(
             self.channel_outstanding[channel] > 0,
             "double completion on channel {channel}"

@@ -27,6 +27,7 @@ use mitt_device::{IoId, ProcessId, SubIoKey};
 use mitt_faults::{FaultClock, FaultPlan};
 use mitt_sim::{Duration, EventQueue, SimRng, SimTime};
 use mitt_trace::TraceSink;
+use mitt_tsl::Obs;
 use mitt_workload::TraceIo;
 use mittos::{NaiveDisk, NaiveSsd};
 
@@ -129,7 +130,10 @@ pub fn replay_audit_traced(
         TraceSink::disabled()
     };
     if ring > 0 {
-        node.set_trace(&sink);
+        node.set_obs(&Obs {
+            trace: sink.clone(),
+            ..Obs::default()
+        });
     }
     if !plan.is_empty() {
         // Forked *after* node construction so an empty plan leaves the

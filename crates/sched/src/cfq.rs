@@ -18,10 +18,10 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use mitt_device::{BlockIo, Disk, FinishedIo, IoClass, IoId, NoInflight, ProcessId};
 use mitt_faults::FaultClock;
-use mitt_prof::{Phase, ProfSink};
+use mitt_prof::Phase;
 use mitt_sim::SimTime;
-use mitt_trace::{EventKind, Subsystem, TraceSink};
-use mitt_tsl::TslSink;
+use mitt_trace::{EventKind, Subsystem};
+use mitt_tsl::Obs;
 
 use crate::noop::QUEUED_SPAN;
 use crate::{DiskScheduler, DispatchOut};
@@ -89,10 +89,8 @@ pub struct Cfq {
     /// IoId -> (tree index, owner, offset): exact location for O(1) cancel.
     index: HashMap<IoId, (usize, ProcessId, u64)>,
     in_device: usize,
-    trace: TraceSink,
+    obs: Obs,
     faults: FaultClock,
-    prof: ProfSink,
-    tsl: TslSink,
 }
 
 impl Cfq {
@@ -103,10 +101,8 @@ impl Cfq {
             trees: Default::default(),
             index: HashMap::new(),
             in_device: 0,
-            trace: TraceSink::disabled(),
+            obs: Obs::default(),
             faults: FaultClock::disabled(),
-            prof: ProfSink::disabled(),
-            tsl: TslSink::disabled(),
         }
     }
 
@@ -164,15 +160,7 @@ impl Cfq {
             };
             self.index.remove(&io.id);
             out.dispatched.push(io.id);
-            self.tsl.record_dispatch(now);
-            self.trace.emit(
-                now,
-                Subsystem::Sched,
-                EventKind::SpanEnd {
-                    name: QUEUED_SPAN,
-                    id: io.id.0,
-                },
-            );
+            self.obs.dispatch(now, QUEUED_SPAN, io.id.0);
             match disk.submit(io, now) {
                 Ok(s) => {
                     self.in_device += 1;
@@ -202,10 +190,10 @@ impl Cfq {
 
 impl DiskScheduler for Cfq {
     fn enqueue(&mut self, io: BlockIo, disk: &mut Disk, now: SimTime) -> DispatchOut {
-        let _t = self.prof.phase(Phase::Sched);
+        let _t = self.obs.prof.phase(Phase::Sched);
         let t = class_idx(io.class);
         self.index.insert(io.id, (t, io.owner, io.offset));
-        self.trace.emit(
+        self.obs.trace.emit(
             now,
             Subsystem::Sched,
             EventKind::SpanBegin {
@@ -229,7 +217,7 @@ impl DiskScheduler for Cfq {
             node.queue.insert((io.offset, io.id), io);
         }
         let out = self.dispatch(disk, now);
-        self.trace.gauge("sched.queued", self.queued() as i64);
+        self.obs.trace.gauge("sched.queued", self.queued() as i64);
         out
     }
 
@@ -238,13 +226,13 @@ impl DiskScheduler for Cfq {
         disk: &mut Disk,
         now: SimTime,
     ) -> Result<(FinishedIo, DispatchOut), NoInflight> {
-        let _t = self.prof.phase(Phase::Sched);
+        let _t = self.obs.prof.phase(Phase::Sched);
         let (finished, started) = disk.complete(now)?;
         debug_assert!(self.in_device > 0, "completion without dispatched IO");
         self.in_device = self.in_device.saturating_sub(1);
         let mut out = self.dispatch(disk, now);
         out.started = started.or(out.started);
-        self.trace.gauge("sched.queued", self.queued() as i64);
+        self.obs.trace.gauge("sched.queued", self.queued() as i64);
         Ok((finished, out))
     }
 
@@ -267,20 +255,12 @@ impl DiskScheduler for Cfq {
         "cfq"
     }
 
-    fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
+    fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
     }
 
     fn set_faults(&mut self, clock: FaultClock) {
         self.faults = clock;
-    }
-
-    fn set_prof(&mut self, sink: ProfSink) {
-        self.prof = sink;
-    }
-
-    fn set_tsl(&mut self, sink: TslSink) {
-        self.tsl = sink;
     }
 }
 

@@ -4,10 +4,10 @@ use std::collections::VecDeque;
 
 use mitt_device::{BlockIo, Disk, FinishedIo, IoId, NoInflight};
 use mitt_faults::FaultClock;
-use mitt_prof::{Phase, ProfSink};
+use mitt_prof::Phase;
 use mitt_sim::SimTime;
-use mitt_trace::{EventKind, Subsystem, TraceSink};
-use mitt_tsl::TslSink;
+use mitt_trace::{EventKind, Subsystem};
+use mitt_tsl::Obs;
 
 use crate::{DiskScheduler, DispatchOut};
 
@@ -19,10 +19,8 @@ pub(crate) const QUEUED_SPAN: &str = "sched_q";
 #[derive(Default)]
 pub struct Noop {
     fifo: VecDeque<BlockIo>,
-    trace: TraceSink,
+    obs: Obs,
     faults: FaultClock,
-    prof: ProfSink,
-    tsl: TslSink,
 }
 
 impl Noop {
@@ -41,15 +39,7 @@ impl Noop {
                 break;
             };
             out.dispatched.push(io.id);
-            self.tsl.record_dispatch(now);
-            self.trace.emit(
-                now,
-                Subsystem::Sched,
-                EventKind::SpanEnd {
-                    name: QUEUED_SPAN,
-                    id: io.id.0,
-                },
-            );
+            self.obs.dispatch(now, QUEUED_SPAN, io.id.0);
             match disk.submit(io, now) {
                 Ok(s) => {
                     debug_assert!(
@@ -67,8 +57,8 @@ impl Noop {
 
 impl DiskScheduler for Noop {
     fn enqueue(&mut self, io: BlockIo, disk: &mut Disk, now: SimTime) -> DispatchOut {
-        let _t = self.prof.phase(Phase::Sched);
-        self.trace.emit(
+        let _t = self.obs.prof.phase(Phase::Sched);
+        self.obs.trace.emit(
             now,
             Subsystem::Sched,
             EventKind::SpanBegin {
@@ -78,7 +68,7 @@ impl DiskScheduler for Noop {
         );
         self.fifo.push_back(io);
         let out = self.dispatch(disk, now);
-        self.trace.gauge("sched.queued", self.fifo.len() as i64);
+        self.obs.trace.gauge("sched.queued", self.fifo.len() as i64);
         out
     }
 
@@ -87,11 +77,11 @@ impl DiskScheduler for Noop {
         disk: &mut Disk,
         now: SimTime,
     ) -> Result<(FinishedIo, DispatchOut), NoInflight> {
-        let _t = self.prof.phase(Phase::Sched);
+        let _t = self.obs.prof.phase(Phase::Sched);
         let (finished, started) = disk.complete(now)?;
         let mut out = self.dispatch(disk, now);
         out.started = started.or(out.started);
-        self.trace.gauge("sched.queued", self.fifo.len() as i64);
+        self.obs.trace.gauge("sched.queued", self.fifo.len() as i64);
         Ok((finished, out))
     }
 
@@ -108,20 +98,12 @@ impl DiskScheduler for Noop {
         "noop"
     }
 
-    fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
+    fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
     }
 
     fn set_faults(&mut self, clock: FaultClock) {
         self.faults = clock;
-    }
-
-    fn set_prof(&mut self, sink: ProfSink) {
-        self.prof = sink;
-    }
-
-    fn set_tsl(&mut self, sink: TslSink) {
-        self.tsl = sink;
     }
 }
 
