@@ -1,11 +1,9 @@
 //! Progress notes for the figure binaries.
 //!
-//! Historically the binaries narrated progress ("ran MittCFQ: ops=800
-//! ebusy=31 ...") on stderr, so batch runners that captured stderr into
-//! `results/<fig>.err` files collected a pile of "errors" that were
-//! nothing of the sort. Progress now goes to **stdout**, prefixed `# `,
-//! and is suppressed by `--quiet`; stderr is reserved for real errors
-//! (failed writes, bad flags).
+//! Progress ("ran MittCFQ: ops=800 ebusy=31 ...") goes to **stdout**,
+//! prefixed `# `, and is suppressed by `--quiet`. Stderr is reserved for
+//! real errors (failed writes, bad flags), so a batch runner that captures
+//! stderr sees only failures.
 //!
 //! Binaries call [`note`] (or [`note_args`] via the `progress!` macro)
 //! instead of printing directly — `mitt-lint`'s O001 rule rejects direct

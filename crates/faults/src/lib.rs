@@ -7,7 +7,9 @@
 //! stalls, scheduler degradation, page-cache thrash, network spikes and
 //! drops, predictor miscalibration), realized at run time through a
 //! [`FaultClock`] handle threaded into the device, scheduler, predictor and
-//! cluster layers the same way `TraceSink` is.
+//! cluster layers next to the `mitt_tsl::Obs` observation handle. It stays
+//! a handle of its own: a fault changes behaviour, while `Obs` only
+//! observes.
 //!
 //! Three properties are load-bearing:
 //!
@@ -15,8 +17,8 @@
 //!   pure functions of the virtual clock, and the only randomness (message
 //!   drops, prediction jitter) flows from a forked [`SimRng`] — so a faulted
 //!   run digests byte-for-byte identically across repeats.
-//! - **Cheap when off.** Like `TraceSink`, a disabled clock is an `Option`
-//!   that is `None`: every query is one branch, no allocation.
+//! - **Cheap when off.** Like the sinks inside `Obs`, a disabled clock is
+//!   an `Option` that is `None`: every query is one branch, no allocation.
 //! - **Liveness-preserving.** No fault can wedge the event loop: scheduler
 //!   degradation never caps in-flight IOs below one, crashes produce
 //!   explicit (delayed) error replies rather than silence, and every
@@ -705,11 +707,12 @@ struct FaultCore {
 
 /// A cheap, cloneable handle to a fault plan — or a disabled no-op.
 ///
-/// Mirrors `TraceSink`: the simulator is single-threaded, so shared state
-/// is `Rc<RefCell<..>>`; a handle is tagged with the node it answers for
-/// ([`FaultClock::for_node`]). Query methods take the virtual `now` and are
-/// `&self` (interior mutability covers the RNG), so predictors can consult
-/// the clock from their existing `&self` estimation paths.
+/// Built like the sinks inside `mitt_tsl::Obs`: the simulator is
+/// single-threaded, so shared state is `Rc<RefCell<..>>`; a handle is
+/// tagged with the node it answers for ([`FaultClock::for_node`]). Query
+/// methods take the virtual `now` and are `&self` (interior mutability
+/// covers the RNG), so predictors can consult the clock from their
+/// existing `&self` estimation paths.
 #[derive(Debug, Clone, Default)]
 pub struct FaultClock {
     core: Option<Rc<RefCell<FaultCore>>>,

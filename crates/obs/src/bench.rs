@@ -4,9 +4,10 @@
 //! p50/p95/p99 latency, EBUSY/retry/error/breaker counters, and a
 //! per-predictor calibration summary — in a stable, diff-friendly JSON
 //! encoding (`mitt-bench/v1`). [`BenchReport::compare`] checks a run
-//! against a committed baseline and returns the list of regressions that
-//! exceed the configured thresholds; `mitt-obs compare` wraps it as a CI
-//! gate.
+//! against a committed baseline and returns the list of regressions:
+//! latency and calibration beyond the configured thresholds, and any
+//! difference in the EBUSY, retry or error counts. `mitt-obs compare`
+//! wraps it as a CI gate.
 //!
 //! Formatting rules keeping the artifact deterministic: field order is
 //! fixed by the writer (never a hash map), floats are fixed-point with
@@ -292,7 +293,10 @@ impl BenchReport {
     }
 
     /// Compares `run` against `self` (the baseline); returns one line per
-    /// regression beyond the thresholds. Empty = pass.
+    /// regression. Empty = pass. Latency and calibration may drift within
+    /// the thresholds; the EBUSY, retry and error counts must match
+    /// exactly, because the simulator is deterministic and any change in
+    /// them is a change in behaviour.
     pub fn compare(&self, run: &BenchReport, t: CompareThresholds) -> Vec<String> {
         let mut regressions = Vec::new();
         if self.fig != run.fig {
@@ -330,11 +334,17 @@ impl BenchReport {
             regressions.extend(lat("p50", base.p50_ms, cur.p50_ms));
             regressions.extend(lat("p95", base.p95_ms, cur.p95_ms));
             regressions.extend(lat("p99", base.p99_ms, cur.p99_ms));
-            if cur.errors > base.errors {
-                regressions.push(format!(
-                    "{}: errors {} exceed baseline {}",
-                    base.name, cur.errors, base.errors
-                ));
+            for (label, b, r) in [
+                ("ebusy", base.ebusy, cur.ebusy),
+                ("retries", base.retries, cur.retries),
+                ("errors", base.errors, cur.errors),
+            ] {
+                if r != b {
+                    regressions.push(format!(
+                        "{}: {label} {r} differs from baseline {b} (counts must match exactly)",
+                        base.name
+                    ));
+                }
             }
         }
         for base in &self.calibration {
@@ -461,6 +471,25 @@ mod tests {
         assert_eq!(regs.len(), 2, "{regs:?}");
         assert!(regs[0].contains("p95"));
         assert!(regs[1].contains("inaccuracy"));
+    }
+
+    #[test]
+    fn ebusy_retry_and_error_counts_must_match_exactly() {
+        for field in ["ebusy", "retries", "errors"] {
+            let mut bumped = sample();
+            let row = &mut bumped.strategies[0];
+            *match field {
+                "ebusy" => &mut row.ebusy,
+                "retries" => &mut row.retries,
+                _ => &mut row.errors,
+            } += 1;
+            // One more than the baseline, then one fewer.
+            for (baseline, run) in [(&sample(), &bumped), (&bumped, &sample())] {
+                let regs = baseline.compare(run, CompareThresholds::default());
+                assert_eq!(regs.len(), 1, "{field}: {regs:?}");
+                assert!(regs[0].contains(field), "{regs:?}");
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 # are deny-level, so this doubles as the warning gate), the mitt-lint
 # determinism/invariant scan, the root test suite (which itself re-runs
 # the lint via tests/lint.rs and the double-run digest check via
-# tests/determinism.rs), every crate's tests, the mitt-trace unit tests,
-# and a traced-run smoke test that exports a Chrome trace and validates
-# it as JSON.
+# tests/determinism.rs), every crate's tests (the mitt-trace unit tests
+# among them), and a traced-run smoke test that exports a Chrome trace and
+# validates it as JSON.
 #
 # Usage: scripts/check.sh   (from anywhere inside the repo)
 set -eu
@@ -56,9 +56,6 @@ echo "== cargo test --workspace -q"
 # The root run above covers only the root package; this gates every
 # crate's unit, differential and doc tests too.
 cargo test --workspace -q
-
-echo "== cargo test -q -p mitt-trace"
-cargo test -q -p mitt-trace
 
 echo "== trace_run smoke (Chrome trace export)"
 trace_out="$(mktemp /tmp/trace_run.XXXXXX.json)"
