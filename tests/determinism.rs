@@ -533,7 +533,11 @@ fn btree_config(seed: u64) -> ExperimentConfig {
 /// observes a decision: CFQ disk (Base and MittCFQ), noop disk (MittNoop),
 /// SSD (MittSSD), the LSM engine, the mmap B-tree (MittCache) and the
 /// faulted run (predictor bias, breakers, backoff). The MittCFQ run also
-/// profiles, pinning that profiling stays digest-neutral.
+/// profiles, pinning that profiling stays digest-neutral. The remaining
+/// strategies, and crash plans under the duplicate-request strategies, pin
+/// the late-reply paths: hedge and clone losers, tied cancels, timed-out
+/// tries and crash-orphaned tries that still reach their op after it is
+/// done.
 ///
 /// A deliberate behaviour change updates these constants in the same
 /// commit and says why; an observability refactor must never touch them.
@@ -576,35 +580,148 @@ fn golden_digests_are_pinned_across_commits() {
         cfg.prof = true;
         cfg
     };
-    // (name, config, a counter the run must bump, pinned digest). The
-    // counter proves the run took the decision path it is meant to pin.
-    let cases: [(&str, ExperimentConfig, &str, u64); 7] = [
+    // A generated plan with most extra windows crashing a node, so tries
+    // are orphaned mid-IO and answered by the failure detector.
+    let crashy = |strategy: Strategy| {
+        let topo = Topology::new(6, 3, 2);
+        let mut gen_cfg = PlanGenConfig::baseline(topo.catalog());
+        gen_cfg.horizon = Duration::from_millis(600);
+        gen_cfg.crash_pct = 80;
+        gen_cfg.gray_pct = 10;
+        let mut cfg = config(41, strategy);
+        cfg.nodes = 6;
+        cfg.faults = FaultPlanGen::new(41, gen_cfg).generate();
+        cfg
+    };
+    let hedged = || Strategy::Hedged {
+        after: Duration::from_millis(13),
+    };
+    let tied = || Strategy::Tied {
+        delay: Duration::from_millis(1),
+    };
+    let nosql = |failover: bool| Strategy::NosqlProfile {
+        timeout: Duration::from_millis(30),
+        failover,
+    };
+    // (name, config, what the run must show, pinned digest). The path
+    // marker proves the run took the decision path it is meant to pin: a
+    // trace counter, or `retries` / `errors` for the timeout paths, which
+    // have none. Clone, Tied, Snitch and C3 have no marker of their own.
+    let cases: [(&str, ExperimentConfig, Option<&str>, u64); 20] = [
         (
             "cfq_base",
             config(41, Strategy::Base),
-            "mittcfq.admit",
+            Some("mittcfq.admit"),
             0xbc93ac3ad1a6ff5c,
         ),
         (
             "cfq_bumped_prof",
             cfq_bumped_profiled(),
-            "mittcfq.bumped",
+            Some("mittcfq.bumped"),
             0x1a7fe76064afb6e7,
         ),
-        ("noop", noop(), "mittnoop.reject", 0xbe5c2b8920a25bae),
-        ("ssd", ssd(), "mittssd.reject", 0xab989659fe49f0c2),
-        ("lsm", lsm_config(41), "mittcfq.reject", 0x627cbbe069d14fc3),
+        ("noop", noop(), Some("mittnoop.reject"), 0xbe5c2b8920a25bae),
+        ("ssd", ssd(), Some("mittssd.reject"), 0xab989659fe49f0c2),
+        (
+            "lsm",
+            lsm_config(41),
+            Some("mittcfq.reject"),
+            0x627cbbe069d14fc3,
+        ),
         (
             "btree_cache",
             btree_config(41),
-            "mittcache.reject",
+            Some("mittcache.reject"),
             0x841dd7bdf319df1f,
         ),
         (
             "faulted",
             faulted_config(41),
-            "attr.fault_window",
+            Some("attr.fault_window"),
             0x8f303af0fa7481b6,
+        ),
+        (
+            "apptimeout",
+            config(
+                41,
+                Strategy::AppTimeout {
+                    timeout: Duration::from_millis(13),
+                },
+            ),
+            Some("retries"),
+            0x6a9144e9b240b495,
+        ),
+        (
+            "clone",
+            config(41, Strategy::Clone2),
+            None,
+            0x7a53cbacd056ffe2,
+        ),
+        (
+            "hedged",
+            config(41, hedged()),
+            Some("cluster.hedge"),
+            0xeca460d499daee3c,
+        ),
+        ("tied", config(41, tied()), None, 0xebf7ae7ea117a6e6),
+        (
+            "snitch",
+            config(41, Strategy::Snitch { alpha: 0.3 }),
+            None,
+            0xcb134df17becba57,
+        ),
+        ("c3", config(41, Strategy::C3), None, 0x0116c1481538d266),
+        (
+            "mittos_wait",
+            config(
+                41,
+                Strategy::MittOsWait {
+                    deadline: Duration::from_millis(10),
+                },
+            ),
+            Some("cluster.failover"),
+            0x00e79c6e35416aed,
+        ),
+        (
+            "mittos_auto",
+            config(
+                41,
+                Strategy::MittOsAuto {
+                    initial: Duration::from_millis(15),
+                },
+            ),
+            Some("cluster.failover"),
+            0x6953fb35adcad3a7,
+        ),
+        (
+            "nosql_failover",
+            config(41, nosql(true)),
+            Some("retries"),
+            0xe78ea44c77e68f8d,
+        ),
+        (
+            "nosql_error",
+            config(41, nosql(false)),
+            Some("errors"),
+            0x1c52c7773c2d17cd,
+        ),
+        (
+            "crash_hedged",
+            crashy(hedged()),
+            Some("cluster.crash_detected"),
+            0x8b64a4144eed612d,
+        ),
+        (
+            "crash_clone",
+            crashy(Strategy::Clone2),
+            Some("cluster.crash_detected"),
+            0xdd80cbf74c78fa7e,
+        ),
+        (
+            "crash_tied",
+            crashy(tied()),
+            Some("cluster.crash_detected"),
+            0x26be3e659ea3a470,
         ),
     ];
     let mut mismatches = Vec::new();
@@ -612,10 +729,14 @@ fn golden_digests_are_pinned_across_commits() {
         cfg.trace = true;
         cfg.tsl = Some(TslConfig::default());
         let res = run_experiment(cfg);
-        assert!(
-            res.trace.metrics().counter_total(fired) > 0,
-            "{name}: {fired} never fired"
-        );
+        if let Some(fired) = fired {
+            let count = match fired {
+                "retries" => res.retries,
+                "errors" => res.errors,
+                counter => res.trace.metrics().counter_total(counter),
+            };
+            assert!(count > 0, "{name}: {fired} never fired");
+        }
         let mut h = Fnv1a::new();
         fold_result(&mut h, &res);
         let got = h.finish();
