@@ -146,7 +146,8 @@ pub struct BenchReport {
 /// Regression thresholds for [`BenchReport::compare`].
 #[derive(Debug, Clone, Copy)]
 pub struct CompareThresholds {
-    /// Max allowed relative latency growth per percentile, in percent.
+    /// Max allowed relative latency drift per percentile, in percent, in
+    /// either direction.
     pub latency_pct: f64,
     /// Max allowed absolute calibration degradation, in percentage points.
     pub calibration_pp: f64,
@@ -293,10 +294,11 @@ impl BenchReport {
     }
 
     /// Compares `run` against `self` (the baseline); returns one line per
-    /// regression. Empty = pass. Latency and calibration may drift within
-    /// the thresholds; the EBUSY, retry and error counts must match
-    /// exactly, because the simulator is deterministic and any change in
-    /// them is a change in behaviour.
+    /// regression. Empty = pass. Each latency percentile must stay within
+    /// the threshold of the baseline in both directions, and calibration may
+    /// worsen by at most its threshold; the EBUSY, retry and error counts
+    /// must match exactly. The simulator is deterministic, so drift either
+    /// way is a change in behaviour, not an improvement to wave through.
     pub fn compare(&self, run: &BenchReport, t: CompareThresholds) -> Vec<String> {
         let mut regressions = Vec::new();
         if self.fig != run.fig {
@@ -321,15 +323,18 @@ impl BenchReport {
             // A small absolute epsilon keeps sub-millisecond noise on
             // near-zero percentiles from tripping the relative gate.
             let lat = |label: &str, b: f64, r: f64| {
-                let limit = b * (1.0 + t.latency_pct / 100.0) + 0.01;
-                if r > limit {
-                    Some(format!(
-                        "{}: {} {:.3} ms exceeds baseline {:.3} ms (+{:.0}% threshold)",
-                        base.name, label, r, b, t.latency_pct
-                    ))
+                let slack = b * t.latency_pct / 100.0 + 0.01;
+                let side = if r > b + slack {
+                    "exceeds"
+                } else if r < b - slack {
+                    "falls below"
                 } else {
-                    None
-                }
+                    return None;
+                };
+                Some(format!(
+                    "{}: {} {:.3} ms {side} baseline {:.3} ms (+/-{:.0}% threshold)",
+                    base.name, label, r, b, t.latency_pct
+                ))
             };
             regressions.extend(lat("p50", base.p50_ms, cur.p50_ms));
             regressions.extend(lat("p95", base.p95_ms, cur.p95_ms));
@@ -471,6 +476,31 @@ mod tests {
         assert_eq!(regs.len(), 2, "{regs:?}");
         assert!(regs[0].contains("p95"));
         assert!(regs[1].contains("inaccuracy"));
+    }
+
+    #[test]
+    fn latency_drift_fails_in_both_directions_past_the_threshold() {
+        let base = sample();
+        let t = CompareThresholds::default();
+        let b = base.strategies[0].p99_ms;
+        let slack = b * t.latency_pct / 100.0 + 0.01;
+        for (p99, fails, side) in [
+            (b + slack - 1e-6, false, ""),
+            (b + slack + 1e-6, true, "exceeds"),
+            (b - slack + 1e-6, false, ""),
+            (b - slack - 1e-6, true, "falls below"),
+        ] {
+            let mut run = sample();
+            run.strategies[0].p99_ms = p99;
+            let regs = base.compare(&run, t);
+            assert_eq!(regs.len(), usize::from(fails), "p99 {p99}: {regs:?}");
+            if fails {
+                assert!(
+                    regs[0].contains("p99") && regs[0].contains(side),
+                    "{regs:?}"
+                );
+            }
+        }
     }
 
     #[test]

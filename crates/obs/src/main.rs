@@ -75,7 +75,7 @@ fn compare(args: &[String]) -> ExitCode {
     let regressions = baseline.compare(&run, thresholds);
     if regressions.is_empty() {
         println!(
-            "ok: {} within thresholds (latency +{:.0}%, calibration +{:.1} pp)",
+            "ok: {} within thresholds (latency +/-{:.0}%, calibration +{:.1} pp)",
             run.fig, thresholds.latency_pct, thresholds.calibration_pp
         );
         ExitCode::SUCCESS
