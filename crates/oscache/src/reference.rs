@@ -256,3 +256,98 @@ fn matches_stamp_model_without_eviction() {
         differential(seed, 10_000, 3_000);
     }
 }
+
+/// Page runs of the large differential test, as (first page, pages): full
+/// leaves, a run inside one leaf, runs that start and end mid-leaf, and a
+/// run that straddles page 2^32. 22 845 pages over 48 leaves.
+const REGIONS: [(u64, u64); 6] = [
+    (0, 512 * 16),
+    (512 * 20 + 100, 300),
+    (512 * 30 + 400, 512 * 8),
+    (1 << 20, 512 * 10),
+    ((1 << 32) - 700, 512 * 6),
+    (3 << 40, 512 * 4 + 17),
+];
+
+/// Asserts that every page of every region (and a page either side) has
+/// the same state in both caches, and that the resident counts agree.
+fn assert_same_pages(cache: &PageCache, model: &StampCache, step: usize) {
+    assert_eq!(cache.resident_pages(), model.pages.len(), "step {step}");
+    for (first, pages) in REGIONS {
+        for page in first.saturating_sub(1)..=first + pages {
+            assert_eq!(
+                cache.page_state(page),
+                model.page_state(page),
+                "page {page}, step {step}"
+            );
+        }
+    }
+}
+
+/// Swap-outs over ~20 k resident pages, so ranks span hundreds of 64-bit
+/// words and dozens of leaves. Fractions cycle through 0.0, 1.0 and random
+/// values below 0.6. Full refills (forcing LRU evictions), partial refills
+/// and fadvised runs come in between, so leaves emptied by earlier
+/// swap-outs and partly filled leaves are both in the table when a
+/// swap-out lists the resident pages.
+#[test]
+fn matches_stamp_model_for_swap_outs_across_many_leaves() {
+    let cfg = PageCacheConfig {
+        page_size: 4096,
+        capacity_pages: 20_000,
+        hit_latency: Duration::from_micros(20),
+    };
+    let mut cache = PageCache::new(cfg.clone());
+    let mut model = StampCache::new(cfg);
+    let mut rng = SimRng::new(0x5EED);
+    // One swap stream per cache, seeded alike; they must stay in step.
+    let (mut a, mut b) = (SimRng::new(77), SimRng::new(77));
+    let mut evicted = 0;
+    let mut refill = |cache: &mut PageCache, model: &mut StampCache, first: u64, pages: u64| {
+        let len = u32::try_from(pages * PAGE).expect("refill fits u32");
+        let out = cache.insert_range(first * PAGE, len);
+        assert_eq!(
+            out,
+            model.insert_range(first * PAGE, len),
+            "refill at {first}"
+        );
+        evicted += out.len();
+    };
+    let mut swapped = 0;
+    for step in 1..=40 {
+        // Every other step starts from a full cache: all regions reloaded,
+        // with LRU evictions past 20 000 pages.
+        if step % 2 == 1 {
+            for (first, pages) in REGIONS {
+                refill(&mut cache, &mut model, first, pages);
+            }
+            assert_eq!(cache.resident_pages(), 20_000);
+        }
+        let fraction = match step % 5 {
+            0 => 0.0,
+            3 => 1.0,
+            _ => rng.unit_f64() * 0.6,
+        };
+        let n = cache.swap_out_fraction(fraction, &mut a);
+        assert_eq!(n, model.swap_out_fraction(fraction, &mut b), "step {step}");
+        assert_eq!(a.clone().next_u64(), b.clone().next_u64(), "step {step}");
+        swapped += n;
+        assert_same_pages(&cache, &model, step);
+        // Refill part of one to three regions.
+        for _ in 0..=rng.index(3) {
+            let (first, pages) = REGIONS[rng.index(REGIONS.len())];
+            let start = first + rng.range_u64(0, pages);
+            let len = rng.range_u64(1, first + pages - start + 1);
+            refill(&mut cache, &mut model, start, len);
+        }
+        if rng.chance(0.3) {
+            let (first, pages) = REGIONS[rng.index(REGIONS.len())];
+            let len = u32::try_from(pages.min(600) * PAGE).expect("fits u32");
+            cache.fadvise_dontneed(first * PAGE, len);
+            model.fadvise_dontneed(first * PAGE, len);
+        }
+        assert_same_pages(&cache, &model, step);
+    }
+    assert!(swapped > 100_000, "swap-outs removed only {swapped} pages");
+    assert!(evicted > 0, "no refill forced an LRU eviction");
+}
