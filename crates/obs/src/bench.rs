@@ -1,13 +1,13 @@
 //! Machine-readable bench baselines: the `BENCH_<fig>.json` schema.
 //!
 //! Every figure binary can emit one [`BenchReport`] — per-strategy
-//! p50/p95/p99 latency, EBUSY/retry/error/breaker counters, and a
-//! per-predictor calibration summary — in a stable, diff-friendly JSON
-//! encoding (`mitt-bench/v1`). [`BenchReport::compare`] checks a run
+//! p50/p95/p99 latency, EBUSY/retry/error/breaker counters, a run digest,
+//! and a per-predictor calibration summary — in a stable, diff-friendly
+//! JSON encoding (`mitt-bench/v1`). [`BenchReport::compare`] checks a run
 //! against a committed baseline and returns the list of regressions:
-//! latency and calibration beyond the configured thresholds, and any
-//! difference in the EBUSY, retry or error counts. `mitt-obs compare`
-//! wraps it as a CI gate.
+//! latency and calibration beyond the configured thresholds, any
+//! difference in the EBUSY, retry or error counts, and any difference in
+//! the run digest. `mitt-obs compare` wraps it as a CI gate.
 //!
 //! Formatting rules keeping the artifact deterministic: field order is
 //! fixed by the writer (never a hash map), floats are fixed-point with
@@ -46,6 +46,10 @@ pub struct StrategyRow {
     pub p95_ms: f64,
     /// 99th-percentile per-get latency, ms.
     pub p99_ms: f64,
+    /// FNV-1a digest of the run: the counts above, the virtual time the
+    /// run finished, and every get latency in sorted order. `None` in a
+    /// row parsed from a report written without one.
+    pub digest: Option<u64>,
 }
 
 impl StrategyRow {
@@ -59,6 +63,20 @@ impl StrategyRow {
                 r.get_latencies.percentile(p).as_millis_f64()
             }
         };
+        let (p50_ms, p95_ms, p99_ms) = (pct(50.0), pct(95.0), pct(99.0));
+        let mut h = Fnv1a::new();
+        for count in [
+            r.ops,
+            r.ebusy,
+            r.retries,
+            r.errors,
+            r.breaker_opens,
+            r.backoff_retries,
+            r.finished_at.as_nanos(),
+        ] {
+            h.write_u64(count);
+        }
+        h.write_u64_slice(r.get_latencies.sorted_samples());
         StrategyRow {
             name: name.to_string(),
             ops: r.ops,
@@ -67,9 +85,10 @@ impl StrategyRow {
             errors: r.errors,
             breaker_opens: r.breaker_opens,
             backoff_retries: r.backoff_retries,
-            p50_ms: pct(50.0),
-            p95_ms: pct(95.0),
-            p99_ms: pct(99.0),
+            p50_ms,
+            p95_ms,
+            p99_ms,
+            digest: Some(h.finish()),
         }
     }
 }
@@ -185,10 +204,13 @@ impl BenchReport {
         out.push_str(&format!("  \"scale\": {},\n", self.scale));
         out.push_str("  \"strategies\": [\n");
         for (i, s) in self.strategies.iter().enumerate() {
+            let digest = s
+                .digest
+                .map_or_else(String::new, |d| format!(", \"digest\": \"{d:016x}\""));
             out.push_str(&format!(
                 "    {{\"name\": {}, \"ops\": {}, \"ebusy\": {}, \"retries\": {}, \
                  \"errors\": {}, \"breaker_opens\": {}, \"backoff_retries\": {}, \
-                 \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}}}{}\n",
+                 \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}{digest}}}{}\n",
                 escape(&s.name),
                 s.ops,
                 s.ebusy,
@@ -273,6 +295,14 @@ impl BenchReport {
                 p50_ms: num_field(row, "p50_ms")?,
                 p95_ms: num_field(row, "p95_ms")?,
                 p99_ms: num_field(row, "p99_ms")?,
+                digest: match row.get("digest") {
+                    None => None,
+                    Some(d) => Some(
+                        d.as_str()
+                            .and_then(|d| u64::from_str_radix(d, 16).ok())
+                            .ok_or("field 'digest' is not a hex string")?,
+                    ),
+                },
             });
         }
         for row in v
@@ -297,8 +327,10 @@ impl BenchReport {
     /// regression. Empty = pass. Each latency percentile must stay within
     /// the threshold of the baseline in both directions, and calibration may
     /// worsen by at most its threshold; the EBUSY, retry and error counts
-    /// must match exactly. The simulator is deterministic, so drift either
-    /// way is a change in behaviour, not an improvement to wave through.
+    /// must match exactly, and so must the run digest wherever the baseline
+    /// row has one. The simulator is deterministic, so drift either way is
+    /// a change in behaviour, not an improvement to wave through: any drift
+    /// means regenerating the baseline deliberately.
     pub fn compare(&self, run: &BenchReport, t: CompareThresholds) -> Vec<String> {
         let mut regressions = Vec::new();
         if self.fig != run.fig {
@@ -351,6 +383,18 @@ impl BenchReport {
                     ));
                 }
             }
+            if let Some(b) = base.digest {
+                if cur.digest != Some(b) {
+                    let r = cur
+                        .digest
+                        .map_or("none".to_string(), |d| format!("{d:016x}"));
+                    regressions.push(format!(
+                        "{}: digest {r} differs from baseline {b:016x} \
+                         (regenerate the baseline deliberately)",
+                        base.name
+                    ));
+                }
+            }
         }
         for base in &self.calibration {
             let Some(cur) = run
@@ -392,6 +436,7 @@ impl BenchReport {
             h.write_u64(s.p50_ms.to_bits());
             h.write_u64(s.p95_ms.to_bits());
             h.write_u64(s.p99_ms.to_bits());
+            h.write_u64(s.digest.unwrap_or(0));
         }
         h.write_usize(self.calibration.len());
         for c in &self.calibration {
@@ -432,6 +477,7 @@ mod tests {
             p50_ms: 3.25,
             p95_ms: 12.5,
             p99_ms: 20.0,
+            digest: Some(0x0123_4567_89ab_cdef),
         });
         r.calibration.push(CalibrationRow {
             predictor: "mittcfq".to_string(),
@@ -520,6 +566,43 @@ mod tests {
                 assert!(regs[0].contains(field), "{regs:?}");
             }
         }
+    }
+
+    #[test]
+    fn digest_must_match_when_the_baseline_has_one() {
+        let base = sample();
+        let mut run = sample();
+        run.strategies[0].digest = Some(1);
+        let regs = base.compare(&run, CompareThresholds::default());
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert!(regs[0].contains("digest 0000000000000001"), "{regs:?}");
+        run.strategies[0].digest = None;
+        let regs = base.compare(&run, CompareThresholds::default());
+        assert!(
+            regs.len() == 1 && regs[0].contains("digest none"),
+            "{regs:?}"
+        );
+        // A baseline row without a digest gates only the other fields.
+        let mut old = sample();
+        old.strategies[0].digest = None;
+        assert!(old.compare(&run, CompareThresholds::default()).is_empty());
+        assert!(old
+            .compare(&sample(), CompareThresholds::default())
+            .is_empty());
+    }
+
+    #[test]
+    fn digest_round_trips_as_hex_and_may_be_absent() {
+        let json = sample().to_json();
+        assert!(json.contains("\"digest\": \"0123456789abcdef\""), "{json}");
+        let mut old = sample();
+        old.strategies[0].digest = None;
+        let old_json = old.to_json();
+        assert!(!old_json.contains("digest"), "{old_json}");
+        assert_eq!(BenchReport::parse(&old_json).unwrap(), old);
+        let bad = json.replace("0123456789abcdef", "not-hex");
+        let err = BenchReport::parse(&bad).unwrap_err();
+        assert!(err.contains("digest"), "{err}");
     }
 
     #[test]

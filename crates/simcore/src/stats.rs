@@ -128,6 +128,12 @@ impl LatencyRecorder {
     pub fn samples(&self) -> &[u64] {
         &self.samples
     }
+
+    /// The samples in ascending order.
+    pub fn sorted_samples(&mut self) -> &[u64] {
+        self.ensure_sorted();
+        &self.samples
+    }
 }
 
 /// Percentage latency reduction of `ours` versus `other`, the paper's
