@@ -1,8 +1,13 @@
 //! Figure 7: MittCache vs Hedged on a 20-node cluster whose working set
 //! lives in the OS cache, with swap-out (ballooning) noise.
+//!
+//! `--bench-json BENCH_fig7.json` writes the scale-factor-1 MittCache,
+//! Hedged and Base rows; `--baseline <file>` compares against a committed
+//! baseline and exits 1 on regression (see `mitt-obs`).
 
-use mitt_bench::{ops_from_env, print_cdf, reduction_at, trace_flag};
+use mitt_bench::{bench_json, ops_from_env, print_cdf, reduction_at, trace_flag};
 use mitt_cluster::{ExperimentConfig, NodeConfig, NoiseKind, NoiseStream, Strategy};
+use mitt_obs::{BenchReport, StrategyRow};
 use mitt_sim::{Duration, LatencyRecorder, SimRng};
 use mitt_workload::NoiseGen;
 
@@ -58,25 +63,33 @@ fn main() {
     );
 
     let deadline = Duration::from_micros(100); // "I expect memory residency"
+    let mut report = BenchReport::new("fig7", seed, ops as u64);
     let mut sf_results: Vec<(usize, LatencyRecorder, LatencyRecorder)> = Vec::new();
     for sf in [1usize, 2, 5, 10] {
         let mk = |strategy: Strategy| {
             let mut cfg = cfg_for(strategy, ops, seed);
             cfg.scale_factor = sf;
-            trace_flag().run(cfg).user_latencies
+            trace_flag().run(cfg)
         };
-        let mitt = mk(Strategy::MittOs { deadline });
-        let hedged = mk(Strategy::Hedged { after: p95 });
+        let mut mitt = mk(Strategy::MittOs { deadline });
+        let mut hedged = mk(Strategy::Hedged { after: p95 });
         if sf == 1 {
-            let base = mk(Strategy::Base);
+            let mut base = mk(Strategy::Base);
+            for (name, res) in [
+                ("MittCache", &mut mitt),
+                ("Hedged", &mut hedged),
+                ("Base", &mut base),
+            ] {
+                report.strategies.push(StrategyRow::from_result(name, res));
+            }
             let mut series = vec![
-                ("MittCache", mitt.clone()),
-                ("Hedged", hedged.clone()),
-                ("Base", base),
+                ("MittCache", mitt.user_latencies.clone()),
+                ("Hedged", hedged.user_latencies.clone()),
+                ("Base", base.user_latencies),
             ];
             print_cdf("Fig 7a: latency CDF, scale factor 1", &mut series, 41);
         }
-        sf_results.push((sf, mitt, hedged));
+        sf_results.push((sf, mitt.user_latencies, hedged.user_latencies));
     }
 
     println!("\n## Fig 7b: % latency reduction of MittCache vs Hedged by scale factor");
@@ -94,4 +107,6 @@ fn main() {
     println!("\n# Expected shape: MittCache removes the swapped-out tail; reductions grow");
     println!("# with percentile and scale factor (small/negative values possible at low");
     println!("# percentiles where network latency dominates, as the paper notes).");
+
+    bench_json().finish_or_exit(&report);
 }

@@ -177,19 +177,24 @@ assert all(s['p99_ms'] >= s['p50_ms'] >= 0 for s in d['strategies'])
 fi
 echo "   bench report conforms to the mitt-bench/v1 schema"
 
-echo "== fig5/fig11/fig13 bench-json gates"
-# Per-strategy latency baselines for the headline figures, at the same
-# MITT_OPS=8 smoke scale. The sim is deterministic, so a drift here means
-# a real behavioral change — regenerate the baseline deliberately.
-for fig in fig5 fig11 fig13; do
+echo "== fig5/fig11/fig13/fig7 bench-json gates"
+# Per-strategy latency baselines for the headline figures. fig5, fig11
+# and fig13 run at the MITT_OPS=8 smoke scale; fig7 runs at its default
+# 400 ops (~1.2 s), the scale at which MittCache rejects swapped-out
+# pages (EBUSY > 0) and cuts Base's p99. The sim is deterministic, so a
+# drift here means a real behavioral change — regenerate the baseline
+# deliberately.
+for spec in fig5:8 fig11:8 fig13:8 fig7:400; do
+    fig="${spec%%:*}"
+    ops="${spec#*:}"
     fig_out="$(mktemp "/tmp/BENCH_${fig}.XXXXXX.json")"
     fig_baseline="baselines/BENCH_${fig}.json"
     if [ -f "$fig_baseline" ]; then
-        MITT_OPS=8 cargo run --quiet --release -p mitt-bench --bin "$fig" -- \
+        MITT_OPS="$ops" cargo run --quiet --release -p mitt-bench --bin "$fig" -- \
             --bench-json "$fig_out" --baseline "$fig_baseline" >/dev/null
         echo "   $fig matches $fig_baseline within thresholds"
     else
-        MITT_OPS=8 cargo run --quiet --release -p mitt-bench --bin "$fig" -- \
+        MITT_OPS="$ops" cargo run --quiet --release -p mitt-bench --bin "$fig" -- \
             --bench-json "$fig_out" >/dev/null
         mkdir -p baselines
         cp "$fig_out" "$fig_baseline"
@@ -200,6 +205,9 @@ for fig in fig5 fig11 fig13; do
             .schema == "mitt-bench/v1"
             and (.strategies | length >= 2)
             and (.strategies | all(.p95_ms >= 0 and .p99_ms >= .p50_ms))
+            and (.fig != "fig7" or (
+                (.strategies | map({(.name): .}) | add) as $s
+                | $s.MittCache.ebusy > 0 and $s.MittCache.p99_ms < $s.Base.p99_ms))
         ' "$fig_out" >/dev/null
     else
         python3 -c "
@@ -208,6 +216,10 @@ d = json.load(open(sys.argv[1]))
 assert d['schema'] == 'mitt-bench/v1'
 assert len(d['strategies']) >= 2
 assert all(s['p99_ms'] >= s['p50_ms'] >= 0 for s in d['strategies'])
+if d['fig'] == 'fig7':
+    s = {r['name']: r for r in d['strategies']}
+    assert s['MittCache']['ebusy'] > 0, 'MittCache never rejected'
+    assert s['MittCache']['p99_ms'] < s['Base']['p99_ms'], 'MittCache p99 not below Base'
 " "$fig_out"
     fi
     rm -f "$fig_out"
