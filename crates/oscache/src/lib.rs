@@ -12,7 +12,9 @@
 //! two-level radix page table (512-entry leaves, allocated on first load),
 //! and resident pages are threaded on an intrusive doubly linked LRU list,
 //! so a hit, an insert, an eviction and an `fadvise` are all O(1) list
-//! operations and eviction order is deterministic.
+//! operations and eviction order is deterministic. A swap-out costs one
+//! pass over the page table plus O(resident) RNG draws, and O(evicted)
+//! list work.
 //!
 //! # Examples
 //!
@@ -241,20 +243,27 @@ impl PageCache {
         self.resident += 1;
     }
 
-    /// Evicts the page in a resident slot, which becomes swapped out, and
-    /// frees the slot. Returns the page.
-    fn evict(&mut self, slot: u32) -> u64 {
+    /// Unlinks a resident slot from the LRU list and frees it, leaving its
+    /// page's entry to the caller. Returns the page.
+    fn release(&mut self, slot: u32) -> u64 {
         self.unlink(slot);
-        let page = self.slots[slot as usize].page;
         self.slots[slot as usize].next = self.free;
         self.free = slot;
         self.resident -= 1;
+        self.slots[slot as usize].page
+    }
+
+    /// Evicts the page in a resident slot, which becomes swapped out, and
+    /// frees the slot. Returns the page.
+    fn evict(&mut self, slot: u32) -> u64 {
+        let page = self.release(slot);
         *self.entry_mut(page) = SWAPPED_OUT;
         page
     }
 
-    /// Walks the page table for a byte range without side effects other
-    /// than statistics — the `addrcheck()` system call of §4.4.
+    /// Walks the page table for a byte range without side effects — the
+    /// `addrcheck()` system call of §4.4. Only [`PageCache::access`]
+    /// counts hits and misses.
     pub fn addrcheck(&self, offset: u64, len: u32) -> RangeCheck {
         let mut missing = Vec::new();
         let mut contended = false;
@@ -320,21 +329,50 @@ impl PageCache {
 
     /// Swaps out a uniformly random `fraction` of resident pages,
     /// emulating another tenant's memory ballooning (§6, Figure 3c).
+    ///
+    /// The victims are the first `n` pages of a Fisher–Yates shuffle
+    /// ([`SimRng::shuffle`]'s draws) of the resident pages in page order.
+    /// Only that set is observable, so the shuffle runs on ranks (a page's
+    /// position among the resident pages in page order), and its steps
+    /// below `n`, which only permute the first `n` places, draw without
+    /// swapping. One pass over the page table in key order then marks the
+    /// chosen ranks swapped out.
     pub fn swap_out_fraction(&mut self, fraction: f64, rng: &mut SimRng) -> usize {
-        let n = ((self.resident as f64) * fraction.clamp(0.0, 1.0)) as usize;
-        // Leaves in key order list the resident pages by page number, so
-        // the shuffle starts from the same sorted order on every run.
-        let mut slots: Vec<u32> = Vec::with_capacity(self.resident);
-        for leaf in self.table.values() {
-            slots.extend(
-                leaf.iter()
-                    .filter(|&&e| e >= RESIDENT)
-                    .map(|e| e - RESIDENT),
-            );
+        let resident = self.resident;
+        let n = ((resident as f64) * fraction.clamp(0.0, 1.0)) as usize;
+        let mut ranks: Vec<u32> = (0..).take(resident).collect();
+        for i in (n.max(1)..resident).rev() {
+            ranks.swap(i, rng.index(i + 1));
         }
-        rng.shuffle(&mut slots);
-        for &slot in &slots[..n] {
-            self.evict(slot);
+        for i in (1..n).rev() {
+            rng.index(i + 1);
+        }
+        // The pass visits resident pages in rank order. It counts them,
+        // marks the chosen ones swapped out and collects their slots with
+        // no data-dependent branch: unchosen entries write to the spare
+        // last place of `victims`, or to a place the next victim
+        // overwrites, and `chosen` has a spare word for the rank past the
+        // last resident page.
+        let mut chosen = vec![0u64; resident / 64 + 1];
+        for &r in &ranks[..n] {
+            chosen[r as usize / 64] |= 1 << (r % 64);
+        }
+        let mut victims = vec![0u32; n + 1];
+        let (mut rank, mut found) = (0, 0);
+        for leaf in self.table.values_mut() {
+            for e in leaf.iter_mut() {
+                let is_resident = u64::from(*e >= RESIDENT);
+                let hit = is_resident & (chosen[rank / 64] >> (rank % 64)) & 1;
+                victims[found] = e.wrapping_sub(RESIDENT);
+                // All ones for a chosen entry, zero otherwise.
+                let mask = 0u32.wrapping_sub(hit as u32);
+                *e ^= (*e ^ SWAPPED_OUT) & mask;
+                found += hit as usize;
+                rank += is_resident as usize;
+            }
+        }
+        for &slot in &victims[..n] {
+            self.release(slot);
         }
         n
     }
