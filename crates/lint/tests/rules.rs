@@ -177,6 +177,36 @@ fn d003_pragma_suppressed() {
 }
 
 #[test]
+fn d003_sees_fixed_hasher_maps() {
+    // `IdMap`/`IdSet` iterate in an unspecified order just like std's maps.
+    let src = "struct S { pending: IdMap<u64, u64> }\n\
+               impl S { fn f(&self) { for (k, v) in &self.pending { let _ = (k, v); } } }\n";
+    assert_eq!(lint("core", FileKind::Library, src), vec![(Rule::D003, 2)]);
+    let src = "fn f() {\n let m = IdMap::default();\n for k in m.keys() { let _ = k; }\n}\n";
+    assert_eq!(
+        lint("cluster", FileKind::Library, src),
+        vec![(Rule::D003, 3)]
+    );
+    let src = "fn live() -> IdSet<u64> { IdSet::default() }\n\
+               fn f() { let s = live(); for k in &s { let _ = k; } }\n";
+    assert_eq!(lint_rules("lsm", src), vec![Rule::D003]);
+    // A waived iteration is tallied as suppressed, not dropped.
+    let src = "struct S { cache: IdMap<u64, u64> }\n\
+               impl S { fn f(&self) {\n\
+               // mitt-lint: allow(D003, \"folded into an order-free digest\")\n\
+               for (k, v) in &self.cache { let _ = (k, v); }\n\
+               } }\n";
+    let out = scan_source("lsm", FileKind::Library, "x.rs", src);
+    assert!(out.violations.is_empty());
+    assert_eq!(out.suppressed.len(), 1);
+    assert_eq!(out.suppressed[0].rule, Rule::D003);
+    // Order-insensitive sinks still exempt them.
+    let src = "struct S { nodes: IdMap<u64, u64> }\n\
+               impl S { fn f(&self) -> u64 { self.nodes.values().sum() } }\n";
+    assert!(lint_rules("sched", src).is_empty());
+}
+
+#[test]
 fn d003_exempt_in_cfg_test_and_test_files() {
     let src = "struct S { m: HashMap<u64, u64> }\n\
                #[cfg(test)]\nmod tests {\n  fn f(s: &super::S) { \
