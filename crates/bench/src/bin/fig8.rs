@@ -5,10 +5,20 @@
 //! processes share eight cores, and the 5% hedge-induced extra load makes
 //! 12 handler threads contend. We model each of the six partitions as a
 //! node with a single-core handler budget (6 partitions / 8 cores).
+//!
+//! `--bench-json BENCH_fig8.json` writes MittSSD, Hedged and Base rows at
+//! scale factor [`GATE_SF`], where MittSSD rejects; `--baseline <file>`
+//! compares against a committed baseline and exits 1 on regression (see
+//! `mitt-obs`).
 
-use mitt_bench::{ec2_ssd_noise, ops_from_env, print_cdf, reduction_at, trace_flag};
+use mitt_bench::{bench_json, ec2_ssd_noise, ops_from_env, print_cdf, reduction_at, trace_flag};
 use mitt_cluster::{CpuConfig, ExperimentConfig, Medium, NodeConfig, Strategy};
+use mitt_obs::{BenchReport, StrategyRow};
 use mitt_sim::{Duration, LatencyRecorder};
+
+/// Scale factor of the bench-json rows. At scale factor 1 MittSSD's CDF
+/// equals Base's up to ~p97.5; by 5 the fan-out makes it reject.
+const GATE_SF: usize = 5;
 
 fn cfg_for(strategy: Strategy, ops: usize, seed: u64) -> ExperimentConfig {
     let mut node_cfg = NodeConfig::ssd();
@@ -45,25 +55,39 @@ fn main() {
         p95.as_millis_f64()
     );
 
+    let mut report = BenchReport::new("fig8", seed, ops as u64);
     let mut sf_results: Vec<(usize, LatencyRecorder, LatencyRecorder)> = Vec::new();
     for sf in [1usize, 2, 5, 10] {
         let mk = |strategy: Strategy| {
             let mut cfg = cfg_for(strategy, ops, seed);
             cfg.scale_factor = sf;
-            trace_flag().run(cfg).user_latencies
+            trace_flag().run(cfg)
         };
-        let mitt = mk(Strategy::MittOs { deadline: p95 });
-        let hedged = mk(Strategy::Hedged { after: p95 });
-        if sf == 1 {
-            let base = mk(Strategy::Base);
+        let mut mitt = mk(Strategy::MittOs { deadline: p95 });
+        let mut hedged = mk(Strategy::Hedged { after: p95 });
+        if sf == 1 || sf == GATE_SF {
+            let mut base = mk(Strategy::Base);
+            if sf == GATE_SF {
+                for (name, res) in [
+                    ("MittSSD", &mut mitt),
+                    ("Hedged", &mut hedged),
+                    ("Base", &mut base),
+                ] {
+                    report.strategies.push(StrategyRow::from_result(name, res));
+                }
+            }
             let mut series = vec![
-                ("MittSSD", mitt.clone()),
-                ("Hedged", hedged.clone()),
-                ("Base", base),
+                ("MittSSD", mitt.user_latencies.clone()),
+                ("Hedged", hedged.user_latencies.clone()),
+                ("Base", base.user_latencies),
             ];
-            print_cdf("Fig 8a: latency CDF, scale factor 1", &mut series, 41);
+            print_cdf(
+                &format!("Fig 8a: latency CDF, scale factor {sf}"),
+                &mut series,
+                41,
+            );
         }
-        sf_results.push((sf, mitt, hedged));
+        sf_results.push((sf, mitt.user_latencies, hedged.user_latencies));
     }
 
     println!("\n## Fig 8b: % latency reduction of MittSSD vs Hedged by scale factor");
@@ -78,6 +102,10 @@ fn main() {
         }
         println!();
     }
-    println!("\n# Expected shape: MittSSD beats Base; Hedged is WORSE than Base at the tail");
-    println!("# (hedge-induced CPU contention), so reductions vs Hedged are large.");
+    println!("\n# Expected shape: at scale factor 1 all three CDFs coincide up to ~p97.5.");
+    println!("# At scale factor {GATE_SF} Hedged is worse than Base at every percentile");
+    println!("# (hedge-induced CPU contention), while MittSSD rejects and tracks Base, so");
+    println!("# reductions vs Hedged are large and grow with scale factor.");
+
+    bench_json().finish_or_exit(&report);
 }

@@ -177,16 +177,22 @@ assert all(s['p99_ms'] >= s['p50_ms'] >= 0 for s in d['strategies'])
 fi
 echo "   bench report conforms to the mitt-bench/v1 schema"
 
-echo "== fig5/fig11/fig13/fig7 bench-json gates"
-# Per-strategy latency baselines for the headline figures. fig5, fig11
-# and fig13 run at the MITT_OPS=8 smoke scale; fig7 runs at its default
-# 400 ops (~1.2 s), the scale at which MittCache rejects swapped-out
-# pages (EBUSY > 0) and cuts Base's p99. The sim is deterministic, so a
-# drift here means a real behavioral change — regenerate the baseline
-# deliberately.
-for spec in fig5:8 fig11:8 fig13:8 fig7:400; do
+echo "== fig5/fig7/fig8/fig11/fig13 bench-json gates"
+# Per-strategy latency baselines for the headline figures, each spec
+# `fig:ops:row:rival`. fig5, fig7, fig8 and fig13 run at a scale where the
+# MittOS mechanism fires, so each also asserts the shape: row `row`
+# rejected (ebusy > 0) and its p99 is below row `rival`'s. fig11 runs at
+# the MITT_OPS=8 smoke scale with no shape clause. The sim is
+# deterministic, so a drift here means a real behavioral change —
+# regenerate the baseline deliberately.
+for spec in fig5:800:MittOS:Base fig7:400:MittCache:Base fig8:1200:MittSSD:Hedged \
+    fig11:8:: fig13:800:mittcfq:base; do
     fig="${spec%%:*}"
-    ops="${spec#*:}"
+    rest="${spec#*:}"
+    ops="${rest%%:*}"
+    rest="${rest#*:}"
+    row="${rest%%:*}"
+    rival="${rest#*:}"
     fig_out="$(mktemp "/tmp/BENCH_${fig}.XXXXXX.json")"
     fig_baseline="baselines/BENCH_${fig}.json"
     if [ -f "$fig_baseline" ]; then
@@ -201,26 +207,30 @@ for spec in fig5:8 fig11:8 fig13:8 fig7:400; do
         echo "   no baseline found; committed $fig_baseline (check it in)"
     fi
     if command -v jq >/dev/null 2>&1; then
-        jq -e '
+        jq -e --arg row "$row" --arg rival "$rival" '
             .schema == "mitt-bench/v1"
             and (.strategies | length >= 2)
             and (.strategies | all(.p95_ms >= 0 and .p99_ms >= .p50_ms))
-            and (.fig != "fig7" or (
+            and ($row == "" or (
                 (.strategies | map({(.name): .}) | add) as $s
-                | $s.MittCache.ebusy > 0 and $s.MittCache.p99_ms < $s.Base.p99_ms))
+                | $s[$row].ebusy > 0 and $s[$row].p99_ms < $s[$rival].p99_ms))
         ' "$fig_out" >/dev/null
     else
         python3 -c "
 import json, sys
 d = json.load(open(sys.argv[1]))
+row, rival = sys.argv[2], sys.argv[3]
 assert d['schema'] == 'mitt-bench/v1'
 assert len(d['strategies']) >= 2
 assert all(s['p99_ms'] >= s['p50_ms'] >= 0 for s in d['strategies'])
-if d['fig'] == 'fig7':
+if row:
     s = {r['name']: r for r in d['strategies']}
-    assert s['MittCache']['ebusy'] > 0, 'MittCache never rejected'
-    assert s['MittCache']['p99_ms'] < s['Base']['p99_ms'], 'MittCache p99 not below Base'
-" "$fig_out"
+    assert s[row]['ebusy'] > 0, row + ' never rejected'
+    assert s[row]['p99_ms'] < s[rival]['p99_ms'], row + ' p99 not below ' + rival
+" "$fig_out" "$row" "$rival"
+    fi
+    if [ -n "$row" ]; then
+        echo "   $fig: $row rejects and its p99 is below $rival's"
     fi
     rm -f "$fig_out"
 done
