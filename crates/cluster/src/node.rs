@@ -18,8 +18,6 @@
 //! attached to descriptors instead of enforced) and the §7.7 error
 //! injector.
 
-use std::collections::{HashMap, HashSet};
-
 use mitt_device::{
     BlockIo, Disk, DiskSpec, IoClass, IoId, IoIdGen, IoKind, NvramBuffer, ProcessId, Ssd, SsdSpec,
     Started, SubCompletion, SubIoKey,
@@ -27,7 +25,7 @@ use mitt_device::{
 use mitt_faults::FaultClock;
 use mitt_oscache::{PageCache, PageCacheConfig};
 use mitt_sched::{Cfq, CfqConfig, DiskScheduler, Noop};
-use mitt_sim::{Duration, SimRng, SimTime};
+use mitt_sim::{Duration, IdMap, IdSet, SimRng, SimTime};
 use mitt_trace::report::{CACHE_HIT_COUNTER, PREDICT_ERROR_HIST, SUBMIT_COUNTER};
 use mitt_trace::{EventKind, Resource, Subsystem};
 use mitt_tsl::Obs;
@@ -377,7 +375,7 @@ struct PendingSsd {
 struct SsdStack {
     ssd: Ssd,
     mitt: MittSsd,
-    pending: HashMap<IoId, PendingSsd>,
+    pending: IdMap<IoId, PendingSsd>,
 }
 
 struct CacheStack {
@@ -404,15 +402,15 @@ pub struct Node {
     injector: Option<ErrorInjector>,
     audit_mode: bool,
     disable_bump_cancel: bool,
-    audit_open: HashMap<IoId, OpenAudit>,
+    audit_open: IdMap<IoId, OpenAudit>,
     audit_pairs: Vec<AuditPair>,
-    fill_after_read: HashSet<IoId>,
+    fill_after_read: IdSet<IoId>,
     hop: Duration,
     ebusy_times: Vec<SimTime>,
     obs: Obs,
     /// Predicted wait of each admitted, traced IO, resolved against the
     /// actual wait at completion to feed the prediction-error histogram.
-    pred_wait: HashMap<IoId, Duration>,
+    pred_wait: IdMap<IoId, Duration>,
 }
 
 impl Node {
@@ -453,7 +451,7 @@ impl Node {
             SsdStack {
                 ssd,
                 mitt,
-                pending: HashMap::new(),
+                pending: IdMap::default(),
             }
         });
         let cache = cfg.cache.map(|c| CacheStack {
@@ -474,13 +472,13 @@ impl Node {
             injector,
             audit_mode: cfg.audit_mode,
             disable_bump_cancel: cfg.disable_bump_cancel,
-            audit_open: HashMap::new(),
+            audit_open: IdMap::default(),
             audit_pairs: Vec::new(),
-            fill_after_read: HashSet::new(),
+            fill_after_read: IdSet::default(),
             hop: cfg.hop,
             ebusy_times: Vec::new(),
             obs: Obs::default(),
-            pred_wait: HashMap::new(),
+            pred_wait: IdMap::default(),
         }
     }
 

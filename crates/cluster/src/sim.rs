@@ -25,8 +25,6 @@
 //!   three are busy (§7.8.1 extension). **MittOsAuto** tunes the deadline
 //!   from EBUSY-rate feedback (§8.1 extension).
 
-use std::collections::HashMap;
-
 use mitt_device::{IoClass, IoId, ProcessId, SubIoKey, GB};
 use mitt_faults::{
     BreakerState, BreakerTransition, CircuitBreaker, FaultClock, FaultKind, FaultPlan,
@@ -34,7 +32,7 @@ use mitt_faults::{
 };
 use mitt_lsm::{GetStep, LsmConfig, LsmEngine};
 use mitt_prof::{GaugeSample, Phase, ProfSink};
-use mitt_sim::{Duration, EventQueue, LatencyRecorder, SimRng, SimTime};
+use mitt_sim::{Duration, EventQueue, IdMap, LatencyRecorder, SimRng, SimTime};
 use mitt_trace::report::{NET_HOP_COUNTER, NET_HOP_FAULTED_COUNTER, NET_HOP_HIST};
 use mitt_trace::{EventKind, Resource, Subsystem, TraceSink, CLUSTER_NODE, DEFAULT_RING_CAPACITY};
 use mitt_tsl::{Obs, TslConfig, TslSink};
@@ -618,7 +616,7 @@ struct ClientState {
     tuner: Option<DeadlineTuner>,
     /// Session state for §8.3 monotonic reads: the client's last write
     /// time per key.
-    last_write: HashMap<u64, SimTime>,
+    last_write: IdMap<u64, SimTime>,
 }
 
 /// The cluster simulator.
@@ -634,12 +632,12 @@ pub struct ClusterSim {
     free_ops: Vec<usize>,
     /// Gets issued so far: the next get's id.
     next_op_id: u64,
-    io_ctx: HashMap<(usize, IoId), IoCtx>,
+    io_ctx: IdMap<(usize, IoId), IoCtx>,
     engines: Vec<LsmEngine>,
     btree: Option<BtreePlanner>,
     /// §8.3 replication state: when each (node, key) applied its latest
     /// write. Absent = applied since forever.
-    fresh_at: HashMap<(usize, u64), SimTime>,
+    fresh_at: IdMap<(usize, u64), SimTime>,
     noise_rng: SimRng,
     /// `noise_seq[stream][node]`: the calendar sequence number reserved
     /// for burst 0 of that schedule; burst `i` uses this plus `i`.
@@ -686,7 +684,7 @@ impl ClusterSim {
                 ewma: vec![0.0; cfg.nodes],
                 qhat: vec![0.0; cfg.nodes],
                 outstanding: vec![0; cfg.nodes],
-                last_write: HashMap::new(),
+                last_write: IdMap::default(),
                 tuner: match cfg.strategy {
                     Strategy::MittOsAuto { initial } => Some(DeadlineTuner::default_p95(initial)),
                     _ => None,
@@ -775,10 +773,10 @@ impl ClusterSim {
             ops: Vec::new(),
             free_ops: Vec::new(),
             next_op_id: 0,
-            io_ctx: HashMap::new(),
+            io_ctx: IdMap::default(),
             engines,
             btree,
-            fresh_at: HashMap::new(),
+            fresh_at: IdMap::default(),
             noise_rng,
             noise_seq: Vec::new(),
             net_rng,

@@ -20,12 +20,10 @@
 //! lower-priority ones, and IOs whose tolerable time goes negative are
 //! cancelled with a late EBUSY.
 
-use std::collections::{HashMap, HashSet};
-
 use mitt_device::{BlockIo, IoClass, IoId, ProcessId};
 use mitt_faults::FaultClock;
 use mitt_prof::Phase;
-use mitt_sim::{Duration, SimTime};
+use mitt_sim::{Duration, IdMap, IdSet, SimTime};
 use mitt_trace::{Resource, Subsystem};
 use mitt_tsl::Obs;
 
@@ -76,13 +74,13 @@ pub struct MittCfq {
     hop: Duration,
     /// Device mirror, as in MittNoop.
     device_free_ns: i64,
-    device_pending: HashMap<IoId, i64>,
+    device_pending: IdMap<IoId, i64>,
     last_tail: u64,
     /// CFQ-queue ledger.
-    queued: HashMap<IoId, QueuedRec>,
-    node_totals: HashMap<(u8, ProcessId), NodeTotal>,
+    queued: IdMap<IoId, QueuedRec>,
+    node_totals: IdMap<(u8, ProcessId), NodeTotal>,
     /// Tolerable-time hash table: bucket (ms) -> deadline IOs in it.
-    tolerable: HashMap<i64, HashSet<IoId>>,
+    tolerable: IdMap<i64, IdSet<IoId>>,
     admitted: u64,
     rejected: u64,
     bumped_total: u64,
@@ -97,11 +95,11 @@ impl MittCfq {
             profile,
             hop,
             device_free_ns: 0,
-            device_pending: HashMap::new(),
+            device_pending: IdMap::default(),
             last_tail: 0,
-            queued: HashMap::new(),
-            node_totals: HashMap::new(),
-            tolerable: HashMap::new(),
+            queued: IdMap::default(),
+            node_totals: IdMap::default(),
+            tolerable: IdMap::default(),
             admitted: 0,
             rejected: 0,
             bumped_total: 0,
@@ -276,7 +274,7 @@ impl MittCfq {
             }
         }
         // Sort by IoId so the cancellation order (and hence the bumped-EBUSY
-        // event order seen by callers) never depends on HashMap layout.
+        // event order seen by callers) never depends on hash-map layout.
         moves.sort_unstable_by_key(|&(id, _, _)| id);
         let mut bumped = Vec::new();
         for (id, old_bucket, new_tol) in moves {

@@ -14,12 +14,12 @@
 //! burst — the exact hazard that forces MittCFQ to re-check accepted IOs
 //! via its tolerable-time table.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use mitt_device::{BlockIo, Disk, FinishedIo, IoClass, IoId, NoInflight, ProcessId};
 use mitt_faults::FaultClock;
 use mitt_prof::Phase;
-use mitt_sim::SimTime;
+use mitt_sim::{IdMap, SimTime};
 use mitt_trace::{EventKind, Subsystem};
 use mitt_tsl::Obs;
 
@@ -87,7 +87,7 @@ pub struct Cfq {
     cfg: CfqConfig,
     trees: [Tree; 3],
     /// IoId -> (tree index, owner, offset): exact location for O(1) cancel.
-    index: HashMap<IoId, (usize, ProcessId, u64)>,
+    index: IdMap<IoId, (usize, ProcessId, u64)>,
     in_device: usize,
     obs: Obs,
     faults: FaultClock,
@@ -99,7 +99,7 @@ impl Cfq {
         Cfq {
             cfg,
             trees: Default::default(),
-            index: HashMap::new(),
+            index: IdMap::default(),
             in_device: 0,
             obs: Obs::default(),
             faults: FaultClock::disabled(),

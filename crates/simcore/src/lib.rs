@@ -12,6 +12,8 @@
 //!   statistics matching how the paper reports results.
 //! - [`Fnv1a`] ([`digest`]): order-sensitive result digests backing the
 //!   double-run determinism harness.
+//! - [`IdMap`] / [`IdSet`] ([`idmap`]): hash containers with one fixed,
+//!   cheap hasher for the simulator's own integer ids.
 //!
 //! Determinism is a hard requirement: given a seed, every experiment binary
 //! reproduces its figure bit-for-bit. Nothing in this crate reads the wall
@@ -21,6 +23,7 @@
 
 pub mod digest;
 pub mod dist;
+pub mod idmap;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -28,6 +31,7 @@ pub mod time;
 
 pub use digest::Fnv1a;
 pub use dist::Distribution;
+pub use idmap::{IdHasher, IdMap, IdSet};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::{reduction_pct, LatencyRecorder, OnlineStats, P2Quantile, TimeHistogram};
