@@ -53,8 +53,9 @@ echo "== cargo test -q"
 cargo test -q
 
 echo "== cargo test --workspace -q"
-# The root run above covers only the root package; this gates every
-# crate's unit, differential and doc tests too.
+# The root run above already covers every crate through the root
+# Cargo.toml's `default-members`; this explicit step keeps every crate's
+# unit, differential and doc tests gated even if that list ever narrows.
 cargo test --workspace -q
 
 echo "== trace_run smoke (Chrome trace export)"
