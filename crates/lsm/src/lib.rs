@@ -29,6 +29,7 @@
 
 pub mod engine;
 pub mod sstable;
+mod table_cache;
 
 pub use engine::{CompactionJob, GetPlan, GetStep, LsmConfig, LsmEngine, LsmIo, LsmStats};
 pub use sstable::{SsTable, TableId};

@@ -22,7 +22,7 @@ fn mix(a: u64, b: u64) -> u64 {
 }
 
 /// Metadata of one on-disk sorted table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct SsTable {
     /// Unique id (also the bloom/salt seed).
     pub id: TableId,
